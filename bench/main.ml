@@ -8,7 +8,8 @@
    Experiments: fig1 fig4 fig5 fig6 bytes-per-line ablation stale micro
    incremental incremental-smoke parallel parallel-smoke fuzz-smoke
    check-overhead trace-smoke fault-sweep fault-sweep-smoke storm
-   storm-smoke dist dist-smoke pgo pgo-smoke canary canary-smoke *)
+   storm-smoke dist dist-smoke pgo pgo-smoke canary canary-smoke
+   naim-scale naim-scale-smoke *)
 
 module Genprog = Cmo_workload.Genprog
 module Suite = Cmo_workload.Suite
@@ -229,6 +230,103 @@ let fig5 () =
     levels;
   Printf.printf
     "(paper: 240MB/18min expanded down to 25MB at +50%% compile time)\n"
+
+(* ------------------------------------------------------------------ *)
+(* NAIM loader scaling: the unloader's cost per acquire/release pair
+   must not grow with the number of registered routines (the paper's
+   loader scales to whole programs).  N generated routines register
+   under forced offloading with a cache of [cached] pools; a loop then
+   cycles a fixed working set of [working] routines spread across the
+   table, so every acquire is a repository load and every release
+   offloads one pool whatever N is.  Only the loader's bookkeeping
+   can make a pair dearer at larger N: a scan of the pool table per
+   release would cost about 16x more at 16k than at 1k.  The smoke
+   run fails when the 16k cost exceeds 4x the 1k cost. *)
+(* ------------------------------------------------------------------ *)
+
+let scale_func name =
+  let module Instr = Cmo_il.Instr in
+  let module Func = Cmo_il.Func in
+  let f = Func.create ~name ~arity:1 ~linkage:Func.Exported in
+  for b = 0 to 2 do
+    let r1 = Func.new_reg f in
+    let r2 = Func.new_reg f in
+    let block =
+      Func.add_block f
+        [
+          Instr.Binop (Instr.Mul, r1, Instr.Reg 0, Instr.Imm (Int64.of_int (b + 3)));
+          Instr.Binop (Instr.Add, r2, Instr.Reg r1, Instr.Imm 1L);
+        ]
+        (Instr.Ret (Some (Instr.Reg r2)))
+    in
+    if b = 0 then f.Func.entry <- block.Func.label
+  done;
+  f
+
+let naim_scale_for ~pairs ~repeats ~gate =
+  header "NAIM loader scaling: acquire/release cost vs registered routines";
+  let sizes = [ 1_000; 4_000; 16_000 ] in
+  let per_module = 16 and cached = 64 and working = 256 in
+  let pool_bytes = Size.func_expanded_bytes (scale_func "probe") in
+  let config =
+    {
+      Loader.default_config with
+      Loader.machine_memory =
+        int_of_float
+          (float_of_int (cached * pool_bytes)
+          /. Loader.default_config.Loader.cache_fraction);
+      forced_level = Some Loader.Offloading;
+    }
+  in
+  Printf.printf "%8s | %11s | %11s | %9s %10s\n" "routines" "register ms"
+    "us per pair" "offloads" "repo loads";
+  let measure n =
+    let best = ref infinity and register_s = ref infinity in
+    let traffic = ref (0, 0) in
+    for _ = 1 to repeats do
+      let loader = Loader.create config (Cmo_naim.Memstats.create ()) in
+      let t0 = Unix.gettimeofday () in
+      for m = 0 to (n / per_module) - 1 do
+        let il = Ilmod.create (Printf.sprintf "s%d" m) in
+        for i = 0 to per_module - 1 do
+          Ilmod.add_func il (scale_func (Printf.sprintf "s%d_f%d" m i))
+        done;
+        Loader.register_module loader il
+      done;
+      let t1 = Unix.gettimeofday () in
+      let names = Array.of_list (Loader.func_names loader) in
+      let set = Array.init working (fun k -> names.(k * (n / working))) in
+      let before = Loader.stats loader in
+      for p = 0 to pairs - 1 do
+        let name = set.(p mod working) in
+        ignore (Loader.acquire loader name);
+        Loader.release loader name
+      done;
+      let t2 = Unix.gettimeofday () in
+      let after = Loader.stats loader in
+      Loader.close loader;
+      register_s := Float.min !register_s (t1 -. t0);
+      best := Float.min !best ((t2 -. t1) /. float_of_int pairs);
+      traffic :=
+        ( after.Loader.offloads - before.Loader.offloads,
+          after.Loader.repo_loads - before.Loader.repo_loads )
+    done;
+    Printf.printf "%8d | %11.1f | %11.2f | %9d %10d\n%!" n (1e3 *. !register_s)
+      (1e6 *. !best) (fst !traffic) (snd !traffic);
+    !best
+  in
+  let costs = List.map measure sizes in
+  let ratio = List.nth costs 2 /. List.nth costs 0 in
+  Printf.printf "cost ratio 16k/1k routines: %.2fx (a pool-table scan per release: ~16x)\n"
+    ratio;
+  if gate && ratio > 4.0 then begin
+    Printf.printf "naim-scale-smoke: FAIL (ratio %.2f > 4)\n" ratio;
+    exit 1
+  end
+
+let naim_scale () = naim_scale_for ~pairs:40_000 ~repeats:5 ~gate:false
+
+let naim_scale_smoke () = naim_scale_for ~pairs:8_000 ~repeats:5 ~gate:true
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: compile time and run time of Mcad1 as the selectivity
@@ -1878,7 +1976,8 @@ let all = [ "fig1", fig1; "fig4", fig4; "fig5", fig5; "fig6", fig6;
             "storm", storm; "storm-smoke", storm_smoke;
             "dist", dist; "dist-smoke", dist_smoke;
             "pgo", pgo; "pgo-smoke", pgo_smoke;
-            "canary", canary; "canary-smoke", canary_smoke ]
+            "canary", canary; "canary-smoke", canary_smoke;
+            "naim-scale", naim_scale; "naim-scale-smoke", naim_scale_smoke ]
 
 let () =
   let requested =

@@ -50,8 +50,10 @@
 # --workers over real sockets, a second build severs the network with
 # a sticky $CMO_NET_FAULT partition mid-protocol, and every object
 # file of both fleet builds must match a never-distributed local
-# oracle byte for byte before the workers are torn down.  Run from
-# the repository root.
+# oracle byte for byte before the workers are torn down.  The NAIM
+# loader's scaling smoke registers 1k, 4k and 16k routines under
+# forced offloading and fails if an acquire/release pair costs more
+# than 4x as much at 16k as at 1k.  Run from the repository root.
 set -eu
 
 echo "== dune build =="
@@ -83,6 +85,9 @@ dune exec bench/main.exe -- pgo-smoke
 
 echo "== canary flip smoke (divergence x sampling sweep) =="
 dune exec bench/main.exe -- canary-smoke
+
+echo "== NAIM loader scaling smoke (cost per pair, 16k vs 1k routines) =="
+dune exec bench/main.exe -- naim-scale-smoke
 
 echo "== fault suite (fixed seed) =="
 CMO_JOBS=1 CMO_FUZZ_SEED=1 dune exec test/test_main.exe -- test fault

@@ -9,6 +9,7 @@ module Size = Cmo_il.Size
 module Intern = Cmo_support.Intern
 module Codec = Cmo_support.Codec
 module Obs = Cmo_obs.Obs
+module Lru = Map.Make (Int)
 
 type level = Off | Ir_compaction | St_compaction | Offloading
 
@@ -60,6 +61,7 @@ type pool = {
 
 type module_rec = {
   mname : string;
+  mindex : int;  (* registration position *)
   globals : Ilmod.global list;
   names : Intern.t;
   mutable symtab_bytes : int;
@@ -69,6 +71,12 @@ type module_rec = {
   mutable expanded_count : int;
 }
 
+(* The unloader never scans the pool table.  Pending pools sit in
+   [lru], keyed by their (unique) [last_touch], with [pending_bytes]
+   their running expanded total; both change only in [set_pending]
+   and, for a pending pool's size, in [update].  [idle] holds the
+   modules whose symbol tables a sweep would compact: no routine
+   expanded, table still expanded.  [note_idle] keeps it current. *)
 type t = {
   config : config;
   mem : Memstats.t;
@@ -76,6 +84,10 @@ type t = {
   owns_repo : bool;
   pools : (string, pool) Hashtbl.t;
   modules : (string, module_rec) Hashtbl.t;
+  globals : (string, int) Hashtbl.t;  (* global name -> size *)
+  mutable lru : pool Lru.t;
+  mutable pending_bytes : int;
+  idle : (string, module_rec) Hashtbl.t;
   mutable module_order_rev : string list;
   mutable func_order_rev : string list;
   mutable clock : int;
@@ -88,6 +100,8 @@ type t = {
   mutable s_symtab_compactions : int;
 }
 
+let modules_initial_size = 64
+
 let create ?repo config mem =
   let owns_repo = repo = None in
   let repo = match repo with Some r -> r | None -> Repository.in_memory () in
@@ -97,7 +111,11 @@ let create ?repo config mem =
     repo;
     owns_repo;
     pools = Hashtbl.create 512;
-    modules = Hashtbl.create 64;
+    modules = Hashtbl.create modules_initial_size;
+    globals = Hashtbl.create 256;
+    lru = Lru.empty;
+    pending_bytes = 0;
+    idle = Hashtbl.create 64;
     module_order_rev = [];
     func_order_rev = [];
     clock = 0;
@@ -134,6 +152,28 @@ let find_pool t fname =
 
 let find_module t mname = Hashtbl.find t.modules mname
 
+let set_pending t pool pending =
+  if pool.pending <> pending then begin
+    pool.pending <- pending;
+    if pending then begin
+      t.lru <- Lru.add pool.last_touch pool t.lru;
+      t.pending_bytes <- t.pending_bytes + pool.expanded_bytes
+    end
+    else begin
+      t.lru <- Lru.remove pool.last_touch t.lru;
+      t.pending_bytes <- t.pending_bytes - pool.expanded_bytes
+    end
+  end
+
+let note_idle t m =
+  if m.expanded_count = 0 && not m.symtab_compacted then
+    Hashtbl.replace t.idle m.mname m
+  else Hashtbl.remove t.idle m.mname
+
+let adjust_expanded t m delta =
+  m.expanded_count <- m.expanded_count + delta;
+  note_idle t m
+
 (* --- symbol-table pool state transitions --- *)
 
 let encode_symtab (m : module_rec) =
@@ -158,6 +198,7 @@ let compact_symtab t m =
     Memstats.release t.mem Memstats.Symtab_expanded m.symtab_bytes;
     Memstats.charge t.mem Memstats.Symtab_compacted m.symtab_compact_bytes;
     m.symtab_compacted <- true;
+    note_idle t m;
     t.s_symtab_compactions <- t.s_symtab_compactions + 1;
     Obs.tick "naim.loader" "symtab_compactions" 1
   end
@@ -166,7 +207,8 @@ let expand_symtab t m =
   if m.symtab_compacted then begin
     Memstats.release t.mem Memstats.Symtab_compacted m.symtab_compact_bytes;
     Memstats.charge t.mem Memstats.Symtab_expanded m.symtab_bytes;
-    m.symtab_compacted <- false
+    m.symtab_compacted <- false;
+    note_idle t m
   end
 
 (* --- pool state transitions --- *)
@@ -183,8 +225,8 @@ let compact_pool t pool =
     Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
     Memstats.charge t.mem Memstats.Ir_compacted pool.compact_charge;
     pool.state <- Compacted bytes;
-    pool.pending <- false;
-    m.expanded_count <- m.expanded_count - 1;
+    set_pending t pool false;
+    adjust_expanded t m (-1);
     t.s_compactions <- t.s_compactions + 1;
     Obs.tick "naim.loader" "compactions" 1;
     Log.debug (fun log ->
@@ -226,7 +268,7 @@ let expand_pool t pool =
     pool.compact_charge <- 0;
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
     pool.state <- Expanded f;
-    m.expanded_count <- m.expanded_count + 1;
+    adjust_expanded t m 1;
     t.s_uncompactions <- t.s_uncompactions + 1;
     Obs.tick "naim.loader" "uncompactions" 1;
     f
@@ -237,7 +279,7 @@ let expand_pool t pool =
     let f = Ilcodec.decode_func ~names:m.names bytes in
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
     pool.state <- Expanded f;
-    m.expanded_count <- m.expanded_count + 1;
+    adjust_expanded t m 1;
     t.s_repo_loads <- t.s_repo_loads + 1;
     t.s_uncompactions <- t.s_uncompactions + 1;
     Obs.tick "naim.loader" "repo_loads" 1;
@@ -246,20 +288,29 @@ let expand_pool t pool =
 
 (* --- the lazy unloader --- *)
 
-let pending_bytes t =
-  Hashtbl.fold
-    (fun _ p acc -> if p.pending then acc + p.expanded_bytes else acc)
-    t.pools 0
+let unload_pool t lvl pool =
+  match lvl with
+  | Off -> ()
+  | Ir_compaction | St_compaction -> compact_pool t pool
+  | Offloading -> offload_pool t pool
 
-let lru_pending t =
-  Hashtbl.fold
-    (fun _ p best ->
-      if not p.pending then best
-      else
-        match best with
-        | Some b when b.last_touch <= p.last_touch -> best
-        | _ -> Some p)
-    t.pools None
+(* Compact every idle symbol table, in the order a [Hashtbl.iter] over
+   [modules] would visit them: by bucket ([Hashtbl.hash] modulo the
+   bucket count, which starts at [modules_initial_size] and doubles
+   once the table holds more than twice as many modules), newest
+   first within a bucket.  A compaction whose encoded table outgrows
+   its modeled expanded size raises resident bytes, so the order can
+   move the Memstats peak; this one keeps every peak equal to a walk
+   over the whole module table. *)
+let sweep_symtabs t =
+  let rec buckets n =
+    if Hashtbl.length t.modules > 2 * n then buckets (2 * n) else n
+  in
+  let mask = buckets modules_initial_size - 1 in
+  let rank m = (Hashtbl.hash m.mname land mask, -m.mindex) in
+  Hashtbl.fold (fun _ m acc -> (rank m, m) :: acc) t.idle []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (_, m) -> compact_symtab t m)
 
 let evict t =
   let lvl = level t in
@@ -267,25 +318,42 @@ let evict t =
     let budget =
       int_of_float (t.config.cache_fraction *. float_of_int t.config.machine_memory)
     in
-    let continue_ = ref true in
-    while !continue_ && pending_bytes t > budget do
-      match lru_pending t with
-      | None -> continue_ := false
-      | Some pool -> (
-        match lvl with
-        | Off -> continue_ := false
-        | Ir_compaction | St_compaction -> compact_pool t pool
-        | Offloading -> offload_pool t pool)
-    done;
+    let rec drain () =
+      if t.pending_bytes > budget then
+        match Lru.min_binding_opt t.lru with
+        | None -> ()
+        | Some (_, pool) ->
+          unload_pool t lvl pool;
+          drain ()
+    in
+    drain ();
     match lvl with
-    | St_compaction | Offloading ->
-      Hashtbl.iter
-        (fun _ m -> if m.expanded_count = 0 then compact_symtab t m)
-        t.modules
+    | St_compaction | Offloading -> sweep_symtabs t
     | Off | Ir_compaction -> ()
   end
 
 (* --- public API --- *)
+
+let add_pool t m (f : Func.t) =
+  let pool =
+    {
+      fname = f.Func.name;
+      pool_module = m.mname;
+      arity = f.Func.arity;
+      state = Expanded f;
+      expanded_bytes = Size.func_expanded_bytes f;
+      compact_charge = 0;
+      pins = 0;
+      last_touch = tick t;
+      pending = false;
+    }
+  in
+  Hashtbl.replace t.pools f.Func.name pool;
+  t.func_order_rev <- f.Func.name :: t.func_order_rev;
+  m.funcs_rev <- f.Func.name :: m.funcs_rev;
+  adjust_expanded t m 1;
+  Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
+  set_pending t pool true
 
 let register_module t (m : Ilmod.t) =
   if Hashtbl.mem t.modules m.Ilmod.mname then
@@ -294,6 +362,7 @@ let register_module t (m : Ilmod.t) =
   let rec_ =
     {
       mname = m.Ilmod.mname;
+      mindex = Hashtbl.length t.modules;
       globals = m.Ilmod.globals;
       names;
       symtab_bytes = Size.module_symtab_expanded_bytes m;
@@ -305,29 +374,18 @@ let register_module t (m : Ilmod.t) =
   in
   Hashtbl.replace t.modules m.Ilmod.mname rec_;
   t.module_order_rev <- m.Ilmod.mname :: t.module_order_rev;
+  List.iter
+    (fun (g : Ilmod.global) ->
+      if not (Hashtbl.mem t.globals g.Ilmod.gname) then
+        Hashtbl.add t.globals g.Ilmod.gname g.Ilmod.size)
+    m.Ilmod.globals;
   Memstats.charge t.mem Memstats.Symtab_expanded rec_.symtab_bytes;
+  note_idle t rec_;
   List.iter
     (fun (f : Func.t) ->
       if Hashtbl.mem t.pools f.Func.name then
         invalid_arg (Printf.sprintf "Loader: function %s already registered" f.Func.name);
-      let pool =
-        {
-          fname = f.Func.name;
-          pool_module = m.Ilmod.mname;
-          arity = f.Func.arity;
-          state = Expanded f;
-          expanded_bytes = Size.func_expanded_bytes f;
-          compact_charge = 0;
-          pins = 0;
-          last_touch = tick t;
-          pending = true;
-        }
-      in
-      Hashtbl.replace t.pools f.Func.name pool;
-      t.func_order_rev <- f.Func.name :: t.func_order_rev;
-      rec_.funcs_rev <- f.Func.name :: rec_.funcs_rev;
-      rec_.expanded_count <- rec_.expanded_count + 1;
-      Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes)
+      add_pool t rec_ f)
     m.Ilmod.funcs;
   m.Ilmod.funcs <- [];
   evict t
@@ -336,9 +394,9 @@ let acquire t fname =
   let pool = find_pool t fname in
   t.s_acquires <- t.s_acquires + 1;
   Obs.tick "naim.loader" "acquires" 1;
+  set_pending t pool false;
   pool.last_touch <- tick t;
   let f = expand_pool t pool in
-  pool.pending <- false;
   pool.pins <- pool.pins + 1;
   f
 
@@ -348,7 +406,7 @@ let release t fname =
     invalid_arg (Printf.sprintf "Loader.release: %s is not pinned" fname);
   pool.pins <- pool.pins - 1;
   if pool.pins = 0 then begin
-    pool.pending <- true;
+    set_pending t pool true;
     evict t
   end
 
@@ -366,6 +424,8 @@ let update t (f : Func.t) =
     Memstats.charge t.mem Memstats.Ir_expanded (new_bytes - pool.expanded_bytes)
   else
     Memstats.release t.mem Memstats.Ir_expanded (pool.expanded_bytes - new_bytes);
+  if pool.pending then
+    t.pending_bytes <- t.pending_bytes + new_bytes - pool.expanded_bytes;
   pool.expanded_bytes <- new_bytes
 
 let add_func t ~module_name (f : Func.t) =
@@ -373,41 +433,38 @@ let add_func t ~module_name (f : Func.t) =
   if Hashtbl.mem t.pools f.Func.name then
     invalid_arg (Printf.sprintf "Loader.add_func: %s already exists" f.Func.name);
   expand_symtab t m;
-  let pool =
-    {
-      fname = f.Func.name;
-      pool_module = module_name;
-      arity = f.Func.arity;
-      state = Expanded f;
-      expanded_bytes = Size.func_expanded_bytes f;
-      compact_charge = 0;
-      pins = 0;
-      last_touch = tick t;
-      pending = true;
-    }
-  in
-  Hashtbl.replace t.pools f.Func.name pool;
-  t.func_order_rev <- f.Func.name :: t.func_order_rev;
-  m.funcs_rev <- f.Func.name :: m.funcs_rev;
-  m.expanded_count <- m.expanded_count + 1;
-  Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
+  add_pool t m f;
   evict t
 
-let remove_func t fname =
-  let pool = find_pool t fname in
-  if pool.pins > 0 then
-    invalid_arg (Printf.sprintf "Loader.remove_func: %s is pinned" fname);
-  let m = find_module t pool.pool_module in
-  (match pool.state with
-  | Expanded _ ->
-    Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
-    m.expanded_count <- m.expanded_count - 1
-  | Compacted _ ->
-    Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge
-  | Offloaded _ -> ());
-  Hashtbl.remove t.pools fname;
-  m.funcs_rev <- List.filter (fun n -> n <> fname) m.funcs_rev;
-  t.func_order_rev <- List.filter (fun n -> n <> fname) t.func_order_rev
+let remove_funcs t fnames =
+  List.iter
+    (fun fname ->
+      if (find_pool t fname).pins > 0 then
+        invalid_arg (Printf.sprintf "Loader.remove_funcs: %s is pinned" fname))
+    fnames;
+  let doomed = Hashtbl.create 64 in
+  let touched = Hashtbl.create 16 in
+  List.iter
+    (fun fname ->
+      match Hashtbl.find_opt t.pools fname with
+      | None -> ()  (* named twice *)
+      | Some pool ->
+        let m = find_module t pool.pool_module in
+        set_pending t pool false;
+        (match pool.state with
+        | Expanded _ ->
+          Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
+          adjust_expanded t m (-1)
+        | Compacted _ ->
+          Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge
+        | Offloaded _ -> ());
+        Hashtbl.remove t.pools fname;
+        Hashtbl.replace doomed fname ();
+        Hashtbl.replace touched m.mname m)
+    fnames;
+  let live n = not (Hashtbl.mem doomed n) in
+  Hashtbl.iter (fun _ m -> m.funcs_rev <- List.filter live m.funcs_rev) touched;
+  t.func_order_rev <- List.filter live t.func_order_rev
 
 let with_func t fname f =
   let func = acquire t fname in
@@ -418,17 +475,16 @@ let func_names t = List.rev t.func_order_rev
 let arity_of t fname =
   Option.map (fun p -> p.arity) (Hashtbl.find_opt t.pools fname)
 
-let global_size_of t gname =
-  Hashtbl.fold
-    (fun _ m acc ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        List.find_map
-          (fun (g : Ilmod.global) ->
-            if g.Ilmod.gname = gname then Some g.Ilmod.size else None)
-          m.globals)
-    t.modules None
+let global_size_of t gname = Hashtbl.find_opt t.globals gname
+
+let residency t fname =
+  Option.map
+    (fun p ->
+      match p.state with
+      | Expanded _ -> `Expanded
+      | Compacted _ -> `Compacted
+      | Offloaded _ -> `Offloaded)
+    (Hashtbl.find_opt t.pools fname)
 
 let module_names t = List.rev t.module_order_rev
 
@@ -461,19 +517,10 @@ let unload_all t =
   let lvl = level t in
   if lvl <> Off then begin
     Hashtbl.iter
-      (fun _ pool ->
-        if pool.pins = 0 then begin
-          match lvl with
-          | Off -> ()
-          | Ir_compaction | St_compaction -> compact_pool t pool
-          | Offloading -> offload_pool t pool
-        end)
+      (fun _ pool -> if pool.pins = 0 then unload_pool t lvl pool)
       t.pools;
     match lvl with
-    | St_compaction | Offloading ->
-      Hashtbl.iter
-        (fun _ m -> if m.expanded_count = 0 then compact_symtab t m)
-        t.modules
+    | St_compaction | Offloading -> sweep_symtabs t
     | Off | Ir_compaction -> ()
   end
 

@@ -90,9 +90,11 @@ val update : t -> Cmo_il.Func.t -> unit
 val add_func : t -> module_name:string -> Cmo_il.Func.t -> unit
 (** Register a routine created during optimization (cloning). *)
 
-val remove_func : t -> string -> unit
-(** Delete a routine (dead-function elimination); discharges its
-    bytes. *)
+val remove_funcs : t -> string list -> unit
+(** Delete routines (dead-function elimination); discharges their
+    bytes.  One call rewrites the registration lists once, whatever
+    the number of routines.  @raise Not_found for an unknown name and
+    [Invalid_argument] for a pinned one, before anything is removed. *)
 
 val with_func : t -> string -> (Cmo_il.Func.t -> 'a) -> 'a
 (** [acquire] / f / [release], exception-safe. *)
@@ -106,7 +108,12 @@ val arity_of : t -> string -> int option
     dangling reference, as far as this loader knows). *)
 
 val global_size_of : t -> string -> int option
-(** Size of a global owned by any registered module, by name. *)
+(** Size of a global owned by any registered module, by name (the
+    first module registered wins if two define it). *)
+
+val residency : t -> string -> [ `Expanded | `Compacted | `Offloaded ] option
+(** A routine's current pool state, without touching it.  [None] when
+    no such routine is registered. *)
 
 val module_names : t -> string list
 

@@ -6,20 +6,21 @@ exception Corrupt_record of { path : string; offset : int; reason : string }
 
 (* ---- CRC-32 (IEEE 802.3), table-driven ---- *)
 
+(* Computed eagerly at module initialisation: a [lazy] here could be
+   forced by two domains at once, and [Lazy.force] then raises
+   [CamlinternalLazy.Undefined] in the loser. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
   let c = ref 0xffffffff in
   String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;
   Int32.of_int (!c lxor 0xffffffff)
 

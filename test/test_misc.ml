@@ -143,7 +143,7 @@ let test_loader_removed_func_unknown () =
   let m = Ilmod.create "m" in
   Ilmod.add_func m (Helpers.make_linear_func "f");
   Loader.register_module loader m;
-  Loader.remove_func loader "f";
+  Loader.remove_funcs loader [ "f" ];
   Alcotest.(check bool) "acquire after remove raises" true
     (try
        ignore (Loader.acquire loader "f");
