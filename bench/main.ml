@@ -25,6 +25,7 @@ module Buildsys = Cmo_driver.Buildsys
 module Phase = Cmo_hlo.Phase
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
+module Fault = Cmo_support.Fault
 
 let mb bytes = float_of_int bytes /. 1024.0 /. 1024.0
 
@@ -1109,7 +1110,7 @@ let fault_sweep_over label sources =
   in
   let build () = Buildsys.build (Buildsys.create ~dir ()) options sources in
   let install spec =
-    match Fsio.install_plan spec with
+    match Fault.install Fsio.faults spec with
     | Ok () -> ()
     | Error m -> failwith ("fault-sweep: bad plan: " ^ m)
   in
@@ -1120,7 +1121,7 @@ let fault_sweep_over label sources =
   in
   Fun.protect
     ~finally:(fun () ->
-      Fsio.clear_plan ();
+      Fault.clear Fsio.faults;
       remove_tree dir)
   @@ fun () ->
   fresh ();
@@ -1135,8 +1136,8 @@ let fault_sweep_over label sources =
   fresh ();
   install "count";
   ignore (build ());
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Fault.op_count Fsio.faults in
+  Fault.clear Fsio.faults;
   Printf.printf "cold build: %d injection sites\n%!" n;
   let t0 = Unix.gettimeofday () in
   for k = 1 to n do
@@ -1145,7 +1146,7 @@ let fault_sweep_over label sources =
     (match build () with
     | _ -> fail "crash@%d: the planned crash never fired\n" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Fault.clear Fsio.faults;
     (* Recovery: a fresh "process" over the torn workspace. *)
     match build () with
     | recovered ->
@@ -1168,7 +1169,7 @@ let fault_sweep_over label sources =
     | exception e ->
       fail "%s@%d: build failed instead of degrading: %s\n" kind k
         (Printexc.to_string e));
-    Fsio.clear_plan ()
+    Fault.clear Fsio.faults
   done;
   Printf.printf
     "degradation sweep: %d sites (kinds cycled), %.1fs, %s\n%!" n
@@ -1384,7 +1385,7 @@ let storm_smoke () = storm_for ~label:"smoke" ~clients:3 ~per_client:12 ~steps:8
    the same line as the parallel benchmark — any divergence from the
    one-shot j=1 oracle is a failure — and reports wall/cpu per job
    level, partition jobs per worker pool, the remote-cache hit rate
-   across two cold checkouts, and a chaos leg (worker SIGKILLed
+   across two cold checkouts, and a net-fault leg (a connection reset
    mid-protocol) that must still land on the oracle's bytes. *)
 (* ------------------------------------------------------------------ *)
 
@@ -1536,10 +1537,10 @@ let dist_for name ~shards =
                (Printf.sprintf "tcp-j%d" jobs)
                { options with Options.jobs = jobs; dist = true; workers }))
         [ 2; 4 ];
-      (match Netio.install_plan "partition@5" with
+      (match Fault.install Netio.faults "partition@5" with
       | Ok () -> ()
       | Error m -> failwith ("partition plan rejected: " ^ m));
-      Fun.protect ~finally:Netio.clear_plan (fun () ->
+      Fun.protect ~finally:(fun () -> Fault.clear Netio.faults) (fun () ->
           let lost =
             run_leg "tcp-partition@5"
               { options with Options.jobs = 2; dist = true; workers }
@@ -1615,29 +1616,32 @@ let dist_for name ~shards =
     Printf.eprintf "dist: second checkout should hit the remote for every \
                     module (%d hits, %d misses)\n" h2 m2
   end;
-  (* Chaos tail: a worker SIGKILLed mid-protocol degrades one
-     partition to local recompute, invisibly. *)
-  Unix.putenv "CMO_DIST_CHAOS" "kill@3";
+  (* Fault tail: a connection reset mid-protocol loses (and kills) one
+     spawned worker and degrades its partition to local recompute,
+     invisibly. *)
+  (match Fault.install Netio.faults "reset@3" with
+  | Ok () -> ()
+  | Error m -> failwith m);
   let j0 = Distwork.jobs_total () and l0 = Distwork.lost_total () in
-  let chaos, chaos_wall =
+  let reset, reset_wall =
     timed (fun () ->
         Fun.protect
-          ~finally:(fun () -> Unix.putenv "CMO_DIST_CHAOS" "")
+          ~finally:(fun () -> Fault.clear Netio.faults)
           (fun () ->
             Pipeline.compile
               { options with Options.jobs = 2; dist = true }
               sources))
   in
   let lost = Distwork.lost_total () - l0 in
-  note_leg "chaos-kill@3" chaos_wall
-    (Pipeline.phase_cpu_seconds chaos.Pipeline.report)
+  note_leg "net-reset@3" reset_wall
+    (Pipeline.phase_cpu_seconds reset.Pipeline.report)
     (Distwork.jobs_total () - j0)
     lost;
-  let ok = identical chaos oracle in
+  let ok = identical reset oracle in
   if not ok || lost = 0 then incr failures;
-  Printf.printf "chaos kill@3: %.3fs, %d worker(s) lost, %s\n" chaos_wall lost
+  Printf.printf "net reset@3: %.3fs, %d worker(s) lost, %s\n" reset_wall lost
     (if ok then "byte-identical recovery"
-     else "DIVERGED (or chaos never fired)");
+     else "DIVERGED (or the fault never fired)");
   let json_path = "BENCH_dist.json" in
   Fsio.atomic_write json_path
     (Json.to_string

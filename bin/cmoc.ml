@@ -19,6 +19,7 @@ module Genprog = Cmo_workload.Genprog
 module Suite = Cmo_workload.Suite
 module Fsio = Cmo_support.Fsio
 module Netio = Cmo_support.Netio
+module Fault = Cmo_support.Fault
 module Json = Cmo_obs.Json
 module Proto = Cmo_server.Proto
 module Client = Cmo_server.Client
@@ -99,7 +100,7 @@ let fault_plan_arg =
          ~doc:"Install a deterministic I/O fault plan before building: \
                a comma-separated spec such as $(b,count), \
                $(b,crash@12,seed=3) or $(b,enospc@5) (grammar in \
-               lib/support/fsio.mli).  Also read from \\$CMO_FAULT; \
+               lib/support/fault.mli).  Also read from \\$CMO_FAULT; \
                the flag wins.  When a plan is active the operation and \
                injection counts are reported on stderr after the \
                build.")
@@ -108,20 +109,20 @@ let install_fault_plan flag =
   match (match flag with Some _ -> flag | None -> Options.env.Options.env_fault) with
   | None -> ()
   | Some spec -> (
-    match Fsio.install_plan spec with
+    match Fault.install Fsio.faults spec with
     | Ok () -> ()
     | Error m ->
       raise (Pipeline.Compile_error (Printf.sprintf "bad fault plan %S: %s" spec m)))
 
 (* The network counterpart ($CMO_NET_FAULT, grammar in
-   lib/support/netio.mli).  Only the parent build process installs it:
+   lib/support/fault.mli).  Only the parent build process installs it:
    cmoc-worker and cmocd never read the variable, so a plan exercises
    the dialing side of every link exactly once. *)
 let install_net_fault_plan () =
   match Options.env.Options.env_net_fault with
   | None -> ()
   | Some spec -> (
-    match Netio.install_plan spec with
+    match Fault.install Netio.faults spec with
     | Ok () -> ()
     | Error m ->
       raise
@@ -136,12 +137,13 @@ let rec is_crash = function
   | _ -> false
 
 let report_fault_plan () =
-  if Fsio.plan_active () then
-    Printf.eprintf "fault plan: %d io ops, %d injected, %d retries\n%!"
-      (Fsio.op_count ()) (Fsio.injected ()) (Fsio.retries ());
-  if Netio.plan_active () then
-    Printf.eprintf "net fault plan: %d net ops, %d injected, %d retries\n%!"
-      (Netio.op_count ()) (Netio.injected ()) (Netio.retries ())
+  let report label unit e =
+    if Fault.active e then
+      Printf.eprintf "%s: %d %s ops, %d injected, %d retries\n%!" label
+        (Fault.op_count e) unit (Fault.injected e) (Fault.retries e)
+  in
+  report "fault plan" "io" Fsio.faults;
+  report "net fault plan" "net" Netio.faults
 
 let make_options level pbo selectivity machine_mb jobs check trace =
   let base =

@@ -26,8 +26,8 @@
 # the dist-smoke benchmark (partition jobs on worker processes and a
 # remote artifact cache, all held byte-identical to the one-shot
 # oracle), then a process-level smoke — cmocd as the remote cache,
-# two checkouts built with cmoc build --dist at j=2, one worker
-# SIGKILLed mid-protocol via $CMO_DIST_CHAOS, object files compared
+# two checkouts built with cmoc build --dist at j=2, one worker lost
+# mid-protocol via a $CMO_NET_FAULT reset, object files compared
 # byte-for-byte across all three builds, and a SIGTERM teardown that
 # must remove both the socket and the pid file.  Fleet-scale profile
 # ingestion is gated twice: the pgo-smoke benchmark (sampling x
@@ -310,11 +310,17 @@ while [ ! -S "$DSOCK" ] && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
   "$DIST_DIR"/co1/src/*.mc > "$DIST_DIR/oracle.out"
 
 # Checkout 1: distributed build on two worker processes, publishing
-# every module artifact to the daemon; chaos SIGKILLs one worker
-# mid-protocol and the build must degrade invisibly.
-CMO_DIST_CHAOS=kill@4 "$CMOC" build -O 4 -j 2 --dist --socket "$DSOCK" \
+# every module artifact to the daemon; a connection reset at the
+# fourth wire operation loses (and SIGKILLs) one worker mid-protocol,
+# and the build must degrade invisibly and report the injection.
+CMO_NET_FAULT=reset@4 "$CMOC" build -O 4 -j 2 --dist --socket "$DSOCK" \
   --dir "$DIST_DIR/co1" --run --input 64,3 \
-  "$DIST_DIR"/co1/src/*.mc > "$DIST_DIR/co1.out"
+  "$DIST_DIR"/co1/src/*.mc > "$DIST_DIR/co1.out" 2> "$DIST_DIR/co1.err"
+grep -q "net fault plan: [0-9]* net ops, 1 injected" "$DIST_DIR/co1.err" || {
+  echo "dist smoke: reset plan never fired"
+  cat "$DIST_DIR/co1.err"
+  exit 1
+}
 
 # Checkout 2: a fresh checkout must be served entirely from the
 # daemon's remote cache — every remote lookup a hit, nothing
@@ -333,7 +339,7 @@ grep -q " 0 re-optimized" "$DIST_DIR/co2.out" || {
 }
 
 # Byte-identity: every object file of both distributed checkouts
-# matches the oracle's, chaos kill and all; so does the VM outcome.
+# matches the oracle's, lost worker and all; so does the VM outcome.
 for f in "$DIST_DIR"/oracle/*.o; do
   cmp "$f" "$DIST_DIR/co1/$(basename "$f")"
   cmp "$f" "$DIST_DIR/co2/$(basename "$f")"

@@ -638,9 +638,6 @@ type pool = {
   deadline_s : float option;  (* straggler redo bound per job *)
   endpoints : endpoint list;
   rr : int Atomic.t;  (* round-robin dial cursor *)
-  chaos_at : int option;  (* kill the active worker at this event *)
-  chaos_fired : bool Atomic.t;
-  events : int Atomic.t;  (* this pool's protocol-event clock *)
   lock : Mutex.t;
   mutable local_refused : bool;  (* the local binary failed handshake *)
   mutable idle : worker_conn list;
@@ -662,15 +659,6 @@ let resolve_worker () =
         (Filename.concat (Filename.concat dir Filename.parent_dir_name) "bin")
         "cmoc_worker.exe"
 
-let parse_chaos = function
-  | None -> None
-  | Some spec -> (
-    match String.index_opt spec '@' with
-    | Some i
-      when String.sub spec 0 i = "kill" ->
-      int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-    | _ -> None)
-
 (* The fingerprint the parent demands in every [Hello]:
    [$CMO_DIST_EXPECT_FP] when set (fleet deployments pin it), else the
    local worker binary's digest (spawned workers and same-build remote
@@ -686,11 +674,11 @@ let expected_fingerprint bin =
       try Some (Digest.to_hex (Digest.file b))
       with Sys_error _ | Unix.Unix_error _ -> None))
 
-let create_pool ?worker ?timeout_s ?deadline_s ?workers ?chaos () =
+let create_pool ?worker ?timeout_s ?deadline_s ?workers () =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Env knobs are re-read per pool (not the process-start snapshot in
-     [Options.env]) — like [$CMO_DIST_CHAOS], the fault/robustness
-     suites flip them between builds inside one process. *)
+     [Options.env]): the fault/robustness suites flip them between
+     builds inside one process. *)
   let dyn = Options.from_env () in
   let timeout_s =
     match timeout_s with
@@ -728,9 +716,6 @@ let create_pool ?worker ?timeout_s ?deadline_s ?workers ?chaos () =
       (Unavailable
          (Printf.sprintf "worker binary %s not found and no --workers given"
             (match worker with Some b -> b | None -> resolve_worker ())));
-  let chaos =
-    match chaos with Some _ as c -> c | None -> Sys.getenv_opt "CMO_DIST_CHAOS"
-  in
   {
     bin;
     expect_fp = expected_fingerprint bin;
@@ -738,9 +723,6 @@ let create_pool ?worker ?timeout_s ?deadline_s ?workers ?chaos () =
     deadline_s;
     endpoints;
     rr = Atomic.make 0;
-    chaos_at = parse_chaos chaos;
-    chaos_fired = Atomic.make false;
-    events = Atomic.make 0;
     lock = Mutex.create ();
     local_refused = false;
     idle = [];
@@ -898,21 +880,6 @@ let checkout pool =
 
 let checkin pool w = locked pool (fun () -> pool.idle <- w :: pool.idle)
 
-(* One protocol event on the pool's clock; at the chaos mark, the
-   active worker dies mid-conversation — exactly what a machine loss
-   at that protocol step looks like to the parent. *)
-let chaos_tick pool w =
-  Atomic.incr events_counter;
-  let n = Atomic.fetch_and_add pool.events 1 + 1 in
-  match pool.chaos_at with
-  | Some at
-    when n = at
-         && not (Atomic.exchange pool.chaos_fired true) ->
-    Log.debug (fun m -> m "chaos: killing active worker at event %d" n);
-    destroy pool w;
-    raise Worker_lost
-  | _ -> ()
-
 let run_job pool ?phase_cache job =
   let w = checkout pool in
   let started = Unix.gettimeofday () in
@@ -934,12 +901,12 @@ let run_job pool ?phase_cache job =
     | _ -> ()
   in
   let send msg =
-    chaos_tick pool w;
+    Atomic.incr events_counter;
     try Netio.send w.fd (encode_parent msg)
     with Unix.Unix_error _ | Sys_error _ -> lose ()
   in
   let recv () =
-    chaos_tick pool w;
+    Atomic.incr events_counter;
     match Netio.recv ~timeout_s:pool.timeout_s w.fd with
     | Ok payload -> (
       try decode_worker payload with Codec.Reader.Corrupt _ -> lose ())

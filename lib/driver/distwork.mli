@@ -24,10 +24,14 @@
       artifacts), heartbeat/deadline health tracking ({!worker_msg.Pulse}
       proves a slow worker alive; a job past [$CMO_DIST_DEADLINE] is
       redone locally anyway — straggler redo), a consecutive-loss
-      circuit breaker that retires a flaky endpoint, bounded read
-      timeouts (the distributed hang bound), and a deterministic
-      chaos hook ([$CMO_DIST_CHAOS=kill@K] SIGKILLs the worker at the
-      K-th protocol event) for the kill-sweep suite.
+      circuit breaker that retires a flaky endpoint, and bounded read
+      timeouts (the distributed hang bound).  Every parent-side
+      message to any worker but the closing [Bye] goes through {!Cmo_support.Netio.send} /
+      {!Cmo_support.Netio.recv}, so one net fault plan
+      ([$CMO_NET_FAULT], grammar in {!Cmo_support.Fault}) reaches
+      every placement: [reset@K] loses the worker at the K-th
+      protocol event — a spawned one is SIGKILLed — which is what the
+      kill-sweep suite drives.
 
     Failure model (the PR-5 taxonomy applied to the wire): any worker
     loss — death, EOF, framing violation, oversized frame, stalled
@@ -176,8 +180,7 @@ val worker_listen : ?port_file:string -> string -> int -> 'a
 type pool
 
 exception Worker_lost
-(** The partition's worker is gone (or reported failure): SIGKILLed
-    by chaos, dead, stalled past the timeout, past its straggler
+(** The partition's worker is gone (or reported failure): dead, stalled past the timeout, past its straggler
     deadline, version-refused, severed by a partition, or speaking
     garbage.  The worker has been reaped (or its endpoint charged a
     loss); the caller must redo the partition locally on a fresh
@@ -198,7 +201,6 @@ val create_pool :
   ?timeout_s:float ->
   ?deadline_s:float ->
   ?workers:string list ->
-  ?chaos:string ->
   unit ->
   pool
 (** Prepare a worker pool: no connections yet; each concurrent
@@ -213,9 +215,7 @@ val create_pool :
     heartbeats prove its worker alive.  [workers] defaults to
     [$CMO_DIST_WORKERS].  An endpoint is retired for the pool's life
     after 3 consecutive losses (any completed job resets the count)
-    or a version refusal.  [chaos] (default [$CMO_DIST_CHAOS])
-    accepts [kill@K]: kill the active worker at the K-th protocol
-    event (each send and each receive counts), once.
+    or a version refusal.
     @raise Unavailable when the worker binary does not exist and no
     endpoint was given. *)
 
@@ -245,12 +245,13 @@ val jobs_total : unit -> int
 (** Partition jobs completed on worker processes. *)
 
 val lost_total : unit -> int
-(** Workers lost (chaos kills included) plus remote failure reports —
-    each one a partition degraded to local recompute. *)
+(** Workers lost (injected net faults included) plus remote failure
+    reports — each one a partition degraded to local recompute. *)
 
 val events_total : unit -> int
-(** Parent-side protocol events across all pools; a clean run's delta
-    sizes the kill-sweep. *)
+(** Parent-side job messages (each send and receive of {!run_job})
+    across all pools.  The handshake is not counted, so this is at
+    most the {!Cmo_support.Netio} op count of the same run. *)
 
 val refused_total : unit -> int
 (** Workers refused at handshake for version skew (wire-codec

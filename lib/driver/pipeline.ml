@@ -647,6 +647,22 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
                 { Hlo.pc_find = Store.txn_find txn; pc_add = Store.txn_add txn })
               txn
           in
+          (* Run [subset] on a pooled worker, its phase relay landing
+             in [txn]; returns the result and the transaction to
+             commit.  A lost worker leaves [txn] holding a partial op
+             log that must never commit: it is abandoned, and
+             [local] redoes the partition on a fresh transaction
+             (none when [txn] is none), whose log then matches the
+             oracle's exactly. *)
+          let dist_or_local dpool ~txn ~mem ~local subset =
+            match
+              run_dist dpool ?phase_cache:(phase_cache_of txn) ~mem subset
+            with
+            | result -> (result, txn)
+            | exception Distwork.Worker_lost ->
+              local
+                (Option.bind txn (fun _ -> Option.map Store.txn_begin cache))
+          in
           let run_components ~txns comps_names =
             let comps =
               List.map
@@ -680,42 +696,22 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
                           txn,
                           [] )
                       else begin
+                        let wmem = Memstats.create () in
                         let local txn =
-                          let wmem = Memstats.create () in
                           let optimized, report, lstats =
                             run_cmo
                               ?phase_cache:(phase_cache_of txn)
                               ~mem:wmem subset
                           in
-                          (optimized, Some (report, lstats), wmem, txn, [])
+                          ((optimized, report, lstats, []), txn)
                         in
-                        match dist_pool with
-                        | None -> local txn
-                        | Some dpool -> (
-                          match
-                            let wmem = Memstats.create () in
-                            let optimized, report, lstats, precoded =
-                              run_dist dpool
-                                ?phase_cache:(phase_cache_of txn)
-                                ~mem:wmem subset
-                            in
-                            (optimized, Some (report, lstats), wmem, txn,
-                             precoded)
-                          with
-                          | result -> result
-                          | exception Distwork.Worker_lost ->
-                            (* The partition's worker is gone; its
-                               transaction holds a partial op log that
-                               must never commit.  Abandon it and redo
-                               the component locally on a fresh one,
-                               whose log then matches the oracle's
-                               exactly. *)
-                            let txn =
-                              match txn with
-                              | Some _ -> Option.map Store.txn_begin cache
-                              | None -> None
-                            in
-                            local txn)
+                        let (optimized, report, lstats, precoded), txn =
+                          match dist_pool with
+                          | None -> local txn
+                          | Some dpool ->
+                            dist_or_local dpool ~txn ~mem:wmem ~local subset
+                        in
+                        (optimized, Some (report, lstats), wmem, txn, precoded)
                       end)
                     comps)
             in
@@ -750,15 +746,18 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
             in
             match dist_pool with
             | None -> local ()
-            | Some dpool -> (
-              let txn = Option.map Store.txn_begin cache in
-              match
-                run_dist dpool ?phase_cache:(phase_cache_of txn) ~mem subset
-              with
-              | optimized, report, lstats, precoded ->
-                Option.iter Store.txn_commit txn;
-                (optimized, report, lstats, precoded)
-              | exception Distwork.Worker_lost -> local ())
+            | Some dpool ->
+              (* The redo runs straight against the store, as the
+                 oracle does. *)
+              let result, txn =
+                dist_or_local dpool
+                  ~txn:(Option.map Store.txn_begin cache)
+                  ~mem
+                  ~local:(fun _ -> (local (), None))
+                  subset
+              in
+              Option.iter Store.txn_commit txn;
+              result
           in
           let table_of optimized =
             let opt_tbl = Hashtbl.create 16 in

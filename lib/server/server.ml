@@ -1,6 +1,7 @@
 module Obs = Cmo_obs.Obs
 module Fsio = Cmo_support.Fsio
 module Netio = Cmo_support.Netio
+module Fault = Cmo_support.Fault
 module Codec = Cmo_support.Codec
 module Store = Cmo_cache.Store
 module Db = Cmo_profile.Db
@@ -201,12 +202,12 @@ let execute t (b : Proto.build_req) =
     | None -> with_shared t.gate build
     | Some spec ->
       with_exclusive t.gate @@ fun () ->
-      (match Fsio.install_plan spec with
+      (match Fault.install Fsio.faults spec with
       | Error m ->
         raise (Pipeline.Compile_error (Printf.sprintf "bad fault plan: %s" m))
       | Ok () -> ());
       Fun.protect build ~finally:(fun () ->
-          Fsio.clear_plan ();
+          Fault.clear Fsio.faults;
           Mutex.lock t.session_lock;
           Fun.protect
             ~finally:(fun () -> Mutex.unlock t.session_lock)

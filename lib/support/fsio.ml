@@ -1,5 +1,3 @@
-module Obs = Cmo_obs.Obs
-
 exception Crash
 
 exception Corrupt_record of { path : string; offset : int; reason : string }
@@ -30,105 +28,17 @@ let crc_bits c = Int32.to_int c land 0xffffffff
 
 type kind = Enospc | Eio | Short | Transient | Crash_op
 
-type plan = {
-  seed : int;
-  faults : (int * kind) list;
-  ops : int Atomic.t;
-  injections : int Atomic.t;
-  mutable crashed : bool;
-}
-
-let active : plan option Atomic.t = Atomic.make None
-
-let parse spec =
-  let tokens =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  if tokens = [] then Error "empty fault plan"
-  else
-    let seed = ref 0 in
-    let faults = ref [] in
-    let err = ref None in
-    let fail fmt = Printf.ksprintf (fun m -> err := Some m) fmt in
-    List.iter
-      (fun tok ->
-        if !err <> None then ()
-        else if tok = "count" then ()
-        else
-          match String.index_opt tok '@' with
-          | Some i -> (
-            let kind = String.sub tok 0 i in
-            let at = String.sub tok (i + 1) (String.length tok - i - 1) in
-            match (int_of_string_opt at, kind) with
-            | None, _ | Some 0, _ ->
-              fail "bad operation index in %S (want kind@K, K >= 1)" tok
-            | Some k, _ when k < 1 ->
-              fail "bad operation index in %S (want kind@K, K >= 1)" tok
-            | Some k, "crash" -> faults := (k, Crash_op) :: !faults
-            | Some k, "enospc" -> faults := (k, Enospc) :: !faults
-            | Some k, "eio" -> faults := (k, Eio) :: !faults
-            | Some k, "short" -> faults := (k, Short) :: !faults
-            | Some k, "transient" -> faults := (k, Transient) :: !faults
-            | Some _, _ ->
-              fail
-                "unknown fault kind %S (want crash, enospc, eio, short or \
-                 transient)"
-                kind)
-          | None -> (
-            match String.index_opt tok '=' with
-            | Some i when String.sub tok 0 i = "seed" -> (
-              match
-                int_of_string_opt
-                  (String.sub tok (i + 1) (String.length tok - i - 1))
-              with
-              | Some s -> seed := s
-              | None -> fail "bad seed in %S" tok)
-            | _ -> fail "unknown fault-plan token %S" tok))
-      tokens;
-    match !err with
-    | Some m -> Error m
-    | None ->
-      Ok
-        {
-          seed = !seed;
-          faults = List.rev !faults;
-          ops = Atomic.make 0;
-          injections = Atomic.make 0;
-          crashed = false;
-        }
-
-let install_plan spec =
-  match parse spec with
-  | Ok p ->
-    Atomic.set active (Some p);
-    Ok ()
-  | Error _ as e -> e
-
-let clear_plan () = Atomic.set active None
-
-let plan_active () = Atomic.get active <> None
-
-let op_count () =
-  match Atomic.get active with Some p -> Atomic.get p.ops | None -> 0
-
-let injected () =
-  match Atomic.get active with Some p -> Atomic.get p.injections | None -> 0
-
-let retries_total = Atomic.make 0
-
-let retries () = Atomic.get retries_total
+let faults =
+  Fault.create ~name:"fault" ~obs:"io" ~terminal:Crash_op
+    [ ("crash", Crash_op); ("enospc", Enospc); ("eio", Eio); ("short", Short);
+      ("transient", Transient) ]
 
 (* How much of a torn write survived: a deterministic function of the
    plan seed and the operation index, covering the full [0, len]
    range so a sweep reaches "nothing written" and "everything written
    but not yet durable" as well as every cut in between. *)
-let prefix_len plan k len =
-  if len <= 0 then 0
-  else
-    let g = Prng.create (plan.seed lxor ((k * 0x9e3779b9) land max_int)) in
-    Prng.int g (len + 1)
+let prefix_len k len =
+  if len <= 0 then 0 else Prng.int (Fault.rng faults k) (len + 1)
 
 (* What the injection layer tells a primitive to do about the
    operation it is about to perform.  With no plan installed the
@@ -141,43 +51,30 @@ type verdict =
   | Flaky of int  (* fail this many attempts transiently, then proceed *)
 
 let verdict ~read op path len =
-  match Atomic.get active with
-  | None -> Proceed
-  | Some p ->
-    if p.crashed then if read then raise Crash else Inert
-    else begin
-      let k = 1 + Atomic.fetch_and_add p.ops 1 in
-      match List.assoc_opt k p.faults with
-      | None -> Proceed
-      | Some f -> (
-        Atomic.incr p.injections;
-        Obs.tick "io" "injected" 1;
-        let fail msg name =
-          raise
-            (Sys_error
-               (Printf.sprintf "%s: %s (injected %s at io op %d, %s)" path msg
-                  name k op))
-        in
-        match f with
-        | Enospc -> fail "No space left on device" "enospc"
-        | Eio -> fail "Input/output error" "eio"
-        | Transient -> Flaky 2
-        | Crash_op ->
-          p.crashed <- true;
-          if read then raise Crash else Cut (prefix_len p k len)
-        | Short ->
-          if read then fail "Input/output error" "short"
-          else Shortw (prefix_len p k len))
-    end
+  match Fault.next faults with
+  | Fault.Pass -> Proceed
+  | Fault.Dead -> if read then raise Crash else Inert
+  | Fault.Fire (f, k) -> (
+    let fail msg name =
+      raise
+        (Sys_error
+           (Printf.sprintf "%s: %s (injected %s at io op %d, %s)" path msg name
+              k op))
+    in
+    match f with
+    | Enospc -> fail "No space left on device" "enospc"
+    | Eio -> fail "Input/output error" "eio"
+    | Transient -> Flaky 2
+    | Crash_op -> if read then raise Crash else Cut (prefix_len k len)
+    | Short ->
+      if read then fail "Input/output error" "short" else Shortw (prefix_len k len))
 
 let flaky_of = function
   | Proceed -> 0
   | Flaky n -> n
   | Inert | Cut _ | Shortw _ -> assert false (* impossible for reads *)
 
-(* ---- bounded retries with seeded-jitter backoff ---- *)
-
-let max_attempts = 3
+(* ---- bounded retries ---- *)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -190,15 +87,6 @@ let is_transient_msg m =
   || contains m "Resource temporarily"
   || contains m "injected transient"
 
-let backoff attempt =
-  let seed = match Atomic.get active with Some p -> p.seed | None -> 0 in
-  let g = Prng.create (seed lxor ((attempt * 0x85ebca6b) land max_int)) in
-  Unix.sleepf (0.0005 *. float_of_int (1 lsl attempt) *. (1.0 +. Prng.float g 1.0))
-
-let note_retry () =
-  Atomic.incr retries_total;
-  Obs.tick "io" "retries" 1
-
 (* One logical operation's syscall, with up to [max_attempts] tries
    for transient failures.  The first [flaky] attempts fail by
    injection; a real error retries only when it looks EINTR/EAGAIN
@@ -207,20 +95,18 @@ let note_retry () =
 let with_retries ~flaky ~path ~op f =
   let rec go attempt =
     if attempt <= flaky then
-      if attempt >= max_attempts then
+      if attempt >= Fault.max_attempts then
         raise
           (Sys_error
              (Printf.sprintf "%s: persistent transient failure (%s)" path op))
       else begin
-        note_retry ();
-        backoff attempt;
+        Fault.retry faults attempt;
         go (attempt + 1)
       end
     else
       try f ()
-      with Sys_error m when attempt < max_attempts && is_transient_msg m ->
-        note_retry ();
-        backoff attempt;
+      with Sys_error m when attempt < Fault.max_attempts && is_transient_msg m ->
+        Fault.retry faults attempt;
         go (attempt + 1)
   in
   go 1
@@ -362,18 +248,19 @@ let valid_prefix_string s =
    it.  Shared by the build-server wire protocol and the distributed
    partition-worker pipes. *)
 
-let rec write_all fd s off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write_substring fd s off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd s (off + n) (len - n)
-  end
+let write_all fd s =
+  let rec go off len =
+    if len > 0 then begin
+      let n =
+        try Unix.write_substring fd s off len
+        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
+      in
+      go (off + n) (len - n)
+    end
+  in
+  go 0 (String.length s)
 
-let write_framed fd payload =
-  let data = frame payload in
-  write_all fd data 0 (String.length data)
+let write_framed fd payload = write_all fd (frame payload)
 
 (* Read exactly [n] bytes; [`Eof got] when the peer closes early,
    [`Timeout] when [timeout_s] elapses between reads with the count
@@ -493,10 +380,7 @@ let close_append ?(fsync = false) a =
   | None -> ()
   | Some oc ->
     a.oc <- None;
-    let crashed =
-      match Atomic.get active with Some p -> p.crashed | None -> false
-    in
-    if not crashed && fsync then (
+    if fsync && not (Fault.dead faults) then (
       try
         simple_op "fsync" a.apath (fun () ->
             flush oc;

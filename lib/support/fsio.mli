@@ -30,24 +30,25 @@
 
     {2 Fault plans}
 
-    A plan is a comma-separated spec, installed process-wide:
+    [$CMO_FAULT] / [--fault-plan] install a plan on {!faults}; the
+    grammar, counters and op clock are {!Fault}'s.  The kinds:
 
-    - [count] — inject nothing, just number the operations (the sweep
-      harness uses this to size a sweep);
-    - [crash@K] — simulated power cut at operation K;
+    - [crash@K] — simulated power cut at operation K (the terminal
+      kind);
     - [enospc@K] / [eio@K] — fail operation K with the corresponding
       error;
     - [short@K] — write only a seeded prefix at operation K, then
       fail (the torn tail is repaired back to the record boundary
       where the framing allows it);
     - [transient@K] — operation K fails with an EINTR-class error
-      that succeeds on retry (exercises the backoff path);
-    - [seed=N] — seeds the torn-write prefix lengths and the retry
-      jitter.
+      that succeeds on retry (exercises the backoff path).
 
-    Operations are numbered from 1 in execution order; with [jobs = 1]
-    a build's sequence is deterministic, which is what makes
-    "crash at the k-th operation" a meaningful sweep axis.
+    [seed=N] seeds the torn-write prefix lengths and the retry
+    jitter.  Operations are numbered from 1 in execution order; with
+    [jobs = 1] a build's sequence is deterministic, which is what
+    makes "crash at the k-th operation" a meaningful sweep axis.
+    Retries of one logical operation do not re-count, and the retry
+    counter ticks the [io/retries] Obs counter.
 
     With no plan installed every entry point's injection check is a
     single atomic load — the hot path costs nothing else. *)
@@ -60,27 +61,15 @@ exception Corrupt_record of { path : string; offset : int; reason : string }
 
 (** {2 Fault plans} *)
 
-val install_plan : string -> (unit, string) result
-(** Parse and install a plan spec (see above); replaces any current
-    plan and resets the operation counter.  [Error] describes the
-    first bad token. *)
+type kind
 
-val clear_plan : unit -> unit
-(** Remove the plan; injection checks return to the single-load fast
-    path and the crashed state is reset. *)
+val faults : kind Fault.t
+(** The file-I/O fault engine: install, clear and read its counters
+    through {!Fault}. *)
 
-val plan_active : unit -> bool
-
-val op_count : unit -> int
-(** Operations performed under the current plan (0 with no plan).
-    Retries of one logical operation do not re-count. *)
-
-val injected : unit -> int
-(** Faults injected so far under the current plan. *)
-
-val retries : unit -> int
-(** Process-lifetime count of I/O retries (also ticked to the
-    [io/retries] Obs counter). *)
+val sys_error_of_unix : string -> Unix.error -> exn
+(** [Sys_error "where: message"]: how a [Unix_error] surfaces from
+    this module and {!Netio}. *)
 
 (** {2 Whole files} *)
 
@@ -145,6 +134,11 @@ val scan_frame : string -> pos:int -> scan
 val valid_prefix_string : string -> int
 (** In-memory analogue of {!valid_prefix}: the end offset of the
     longest prefix of whole, CRC-valid records. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte to a pipe or socket (blocking, restarts on
+    EINTR), unframed and never fault-injected.  Raises
+    [Unix.Unix_error] when the peer is gone. *)
 
 val write_framed : Unix.file_descr -> string -> unit
 (** Write one framed message to a pipe or socket (blocking, restarts

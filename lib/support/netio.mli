@@ -22,14 +22,13 @@
 
     {2 Fault plans}
 
-    A plan is a comma-separated spec, installed process-wide (never
-    inherited — each binary decides whether to install
-    [$CMO_NET_FAULT]; [cmoc] does, [cmoc-worker] and [cmocd] do not,
-    so a plan aimed at a build's parent cannot corrupt the far side
-    of its own connections):
+    A plan is installed on {!faults}, whose grammar, counters and op
+    clock are {!Fault}'s.  It is process-wide and never inherited —
+    each binary decides whether to install [$CMO_NET_FAULT]; [cmoc]
+    does, [cmoc-worker] and [cmocd] do not, so a plan aimed at a
+    build's parent cannot corrupt the far side of its own
+    connections.  The kinds:
 
-    - [count] — inject nothing, just number the operations (sweeps
-      use this to size themselves);
     - [drop@K] — operation K's message is lost in transit: a send
       silently succeeds without writing, a receive reports
       [`Timeout];
@@ -42,13 +41,14 @@
       locally;
     - [reset@K] — the connection dies at operation K
     ([Sys_error] reset on send, [`Bad] on receive), one-shot;
-    - [partition@K] — the network is severed at operation K and
-      {e stays severed}: every later send is dropped, every later
-      receive reports [`Timeout], and every later {!connect} fails —
-      the machine-loss analogue of {!Fsio}'s crash-inert state;
-    - [seed=N] — seeds the garble bit position and the connect-retry
-      jitter.
+    - [partition@K] — the terminal kind: the network is severed at
+      operation K and {e stays severed}: every later send is
+      dropped, every later receive reports [`Timeout], and every
+      later {!connect} fails — the machine-loss analogue of {!Fsio}'s
+      crash-inert state.
 
+    [seed=N] seeds the garble bit position and the connect-retry
+    jitter; connect retries tick the [net/retries] Obs counter.
     Operations are numbered from 1 in execution order; {!send} and
     {!recv} each count one operation, {!connect} counts none (so the
     sweep axis is exactly the protocol-event sequence).  With no plan
@@ -57,29 +57,11 @@
 
 (** {2 Fault plans} *)
 
-val install_plan : string -> (unit, string) result
-(** Parse and install a plan spec (see above); replaces any current
-    plan and resets the operation counter and partitioned state.
-    [Error] describes the first bad token. *)
+type kind
 
-val clear_plan : unit -> unit
-(** Remove the plan; injection checks return to the single-load fast
-    path and a severed partition heals. *)
-
-val plan_active : unit -> bool
-
-val op_count : unit -> int
-(** Network operations performed under the current plan (0 with no
-    plan).  Operations suppressed by a sticky partition do not
-    count. *)
-
-val injected : unit -> int
-(** Faults injected so far under the current plan ([partition@K]
-    counts once, at the severing operation). *)
-
-val retries : unit -> int
-(** Process-lifetime count of connect retries (also ticked to the
-    [net/retries] Obs counter). *)
+val faults : kind Fault.t
+(** The network fault engine: install, clear and read its counters
+    through {!Fault}. *)
 
 (** {2 Addresses} *)
 

@@ -2,9 +2,9 @@
    cross-process determinism matrix ({threads, worker processes,
    remote cache} × {O2, O4, O4+P} × {cold, warm} × {j1, j4} against
    the threads-j1 oracle), qcheck fuzz over the new wire messages, a
-   worker kill-sweep (SIGKILL at every protocol event; the build
-   recovers byte-identical and never hangs), and the remote artifact
-   cache end-to-end through a live in-process cmocd. *)
+   worker kill-sweep (a net-fault reset at every network operation;
+   the build recovers byte-identical and never hangs), and the remote
+   artifact cache end-to-end through a live in-process cmocd. *)
 
 module Options = Cmo_driver.Options
 module Pipeline = Cmo_driver.Pipeline
@@ -12,6 +12,7 @@ module Distwork = Cmo_driver.Distwork
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
 module Netio = Cmo_support.Netio
+module Fault = Cmo_support.Fault
 module Codec = Cmo_support.Codec
 module Memstats = Cmo_naim.Memstats
 module Loader = Cmo_naim.Loader
@@ -32,9 +33,10 @@ let with_closed_store dir f =
   let store = Store.open_ ~dir () in
   Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
 
-(* Set an env knob for the callback's lifetime.  Both dist knobs treat
-   the empty string as unset ([resolve_worker], [parse_chaos]), so
-   restoring an absent variable to [""] is a faithful reset. *)
+(* Set an env knob for the callback's lifetime.  Every knob set here
+   treats the empty string as unset ([resolve_worker],
+   [Options.from_env], [self_fingerprint]), so restoring an absent
+   variable to [""] is a faithful reset. *)
 let with_env name value f =
   let old = Sys.getenv_opt name in
   Unix.putenv name value;
@@ -508,55 +510,66 @@ let test_degrades_without_worker () =
 
 (* ---------- the kill-sweep ---------- *)
 
-(* SIGKILL the active worker at every protocol event in turn.  Each
-   chaos build must (a) terminate within the hang bound, (b) record
-   the lost worker, and (c) still produce the oracle's artifact and
-   store bytes — degradation visible only in [lost_total]. *)
+(* Reset the connection at every network operation of a
+   spawned-worker build in turn ([reset@K] through Netio, the one path
+   every worker message takes).  The lost worker is SIGKILLed and
+   reaped, so each build must (a) terminate within the hang bound,
+   (b) record the lost worker, and (c) still produce the oracle's
+   artifact and store bytes — degradation visible only in
+   [lost_total].  Netio's clock also counts the handshake, so the
+   sweep reaches kill points before the first job message. *)
 let kill_sweep_sources = Test_parallel.prog_chain
 
+let install_net spec =
+  match Fault.install Netio.faults spec with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s rejected: %s" spec m
+
 let test_kill_sweep () =
-  let options = { Options.o4 with Options.dist = true } in
   with_dir @@ fun oracle_dir ->
   let oracle =
     with_closed_store oracle_dir (fun store ->
-        Pipeline.compile ~cache:store { Options.o4 with Options.jobs = 1 }
-          kill_sweep_sources)
+        build ~mode:Threads ~cache:store Options.o4 1 kill_sweep_sources)
   in
-  (* A clean distributed run sizes the sweep: its protocol-event count
-     is the number of distinct kill points. *)
+  Fun.protect ~finally:(fun () -> Fault.clear Netio.faults) @@ fun () ->
+  (* A counting plan sizes the sweep: its net-operation count is the
+     number of distinct kill points, and covers every job-message
+     event the pool saw. *)
+  install_net "count";
   let events0 = Distwork.events_total () in
   with_dir (fun d ->
       let b =
         with_closed_store d (fun store ->
-            Pipeline.compile ~cache:store { options with Options.jobs = 2 }
-              kill_sweep_sources)
+            build ~mode:Procs ~cache:store Options.o4 2 kill_sweep_sources)
       in
       same_build "clean dist run = oracle" oracle b;
       Alcotest.(check bool) "clean dist store bytes = oracle's" true
         (same_store_bytes d oracle_dir));
-  let n = Distwork.events_total () - events0 in
+  let n = Fault.op_count Netio.faults in
+  let events = Distwork.events_total () - events0 in
   Alcotest.(check bool)
-    (Printf.sprintf "clean dist run spoke the protocol (%d events)" n)
-    true (n > 0);
+    (Printf.sprintf "clean dist run spoke the protocol (%d events)" events)
+    true (events > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d net ops cover the %d job-message events" n events)
+    true (n > events);
   for k = 1 to n do
-    with_env "CMO_DIST_CHAOS" (Printf.sprintf "kill@%d" k) (fun () ->
-        with_dir (fun d ->
-            let lost0 = Distwork.lost_total () in
-            let b =
-              with_closed_store d (fun store ->
-                  Pipeline.compile ~cache:store
-                    { options with Options.jobs = 2 }
-                    kill_sweep_sources)
-            in
-            same_build (Printf.sprintf "kill@%d build = oracle" k) oracle b;
-            Alcotest.(check bool)
-              (Printf.sprintf "kill@%d store bytes = oracle's" k)
-              true
-              (same_store_bytes d oracle_dir);
-            Alcotest.(check bool)
-              (Printf.sprintf "kill@%d recorded the lost worker" k)
-              true
-              (Distwork.lost_total () > lost0)))
+    install_net (Printf.sprintf "reset@%d" k);
+    with_dir (fun d ->
+        let lost0 = Distwork.lost_total () in
+        let b =
+          with_closed_store d (fun store ->
+              build ~mode:Procs ~cache:store Options.o4 2 kill_sweep_sources)
+        in
+        same_build (Printf.sprintf "reset@%d build = oracle" k) oracle b;
+        Alcotest.(check bool)
+          (Printf.sprintf "reset@%d store bytes = oracle's" k)
+          true
+          (same_store_bytes d oracle_dir);
+        Alcotest.(check bool)
+          (Printf.sprintf "reset@%d recorded the lost worker" k)
+          true
+          (Distwork.lost_total () > lost0))
   done
 
 (* ---------- the TCP fleet: placement, skew, stragglers, partitions ---------- *)
@@ -700,10 +713,10 @@ let test_tcp_partition_sweep () =
   in
   (* A counting plan sizes the sweep: its net-operation count is the
      number of distinct severing points. *)
-  (match Netio.install_plan "count" with
+  (match Fault.install Netio.faults "count" with
   | Ok () -> ()
   | Error m -> Alcotest.failf "count plan rejected: %s" m);
-  Fun.protect ~finally:Netio.clear_plan @@ fun () ->
+  Fun.protect ~finally:(fun () -> Fault.clear Netio.faults) @@ fun () ->
   with_dir (fun d ->
       let b =
         with_closed_store d (fun store ->
@@ -713,12 +726,12 @@ let test_tcp_partition_sweep () =
       same_build "clean tcp run = oracle" oracle b;
       Alcotest.(check bool) "clean tcp store bytes = oracle's" true
         (same_store_bytes d oracle_dir));
-  let n = Netio.op_count () in
+  let n = Fault.op_count Netio.faults in
   Alcotest.(check bool)
     (Printf.sprintf "clean tcp run used the wire (%d net ops)" n)
     true (n > 0);
   for k = 1 to n do
-    (match Netio.install_plan (Printf.sprintf "partition@%d" k) with
+    (match Fault.install Netio.faults (Printf.sprintf "partition@%d" k) with
     | Ok () -> ()
     | Error m -> Alcotest.failf "partition@%d rejected: %s" k m);
     with_dir (fun d ->
@@ -738,7 +751,7 @@ let test_tcp_partition_sweep () =
           true
           (Distwork.lost_total () > lost0))
   done;
-  Netio.clear_plan ()
+  Fault.clear Netio.faults
 
 (* Each transient fault kind at the first protocol event: the
    connection is written off, the partition redone locally, the
@@ -749,10 +762,10 @@ let test_tcp_fault_kinds_recover () =
   let oracle = build ~mode:Threads Options.o4 1 kill_sweep_sources in
   List.iter
     (fun spec ->
-      (match Netio.install_plan spec with
+      (match Fault.install Netio.faults spec with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s rejected: %s" spec m);
-      Fun.protect ~finally:Netio.clear_plan (fun () ->
+      Fun.protect ~finally:(fun () -> Fault.clear Netio.faults) (fun () ->
           let lost0 = Distwork.lost_total () in
           let b = build ~mode:(Tcp endpoints) Options.o4 2 kill_sweep_sources in
           same_build (spec ^ " build = oracle") oracle b;

@@ -5,6 +5,8 @@
    yields a successful, byte-identical rebuild. *)
 
 module Fsio = Cmo_support.Fsio
+module Fault = Cmo_support.Fault
+module Netio = Cmo_support.Netio
 module Store = Cmo_cache.Store
 module Repository = Cmo_naim.Repository
 module Pipeline = Cmo_driver.Pipeline
@@ -17,10 +19,10 @@ let remove_tree = Helpers.remove_tree
    inside, no plan leaks into the next test. *)
 let with_dir f =
   Helpers.with_dir ~prefix:"cmo_fault" (fun dir ->
-      Fun.protect ~finally:Fsio.clear_plan (fun () -> f dir))
+      Fun.protect ~finally:(fun () -> Fault.clear Fsio.faults) (fun () -> f dir))
 
 let install spec =
-  match Fsio.install_plan spec with
+  match Fault.install Fsio.faults spec with
   | Ok () -> ()
   | Error m -> Alcotest.failf "plan %S rejected: %s" spec m
 
@@ -48,24 +50,55 @@ let write_raw path data =
 
 (* ---------- plan grammar ---------- *)
 
-let test_plan_parse () =
-  Fun.protect ~finally:Fsio.clear_plan @@ fun () ->
-  List.iter
-    (fun spec -> install spec)
-    [ "count"; "crash@1"; "enospc@5,seed=3"; "eio@2,short@7,transient@9";
-      " crash@4 , seed=12 " ];
+(* Both layers' plans go through Fault's one grammar, one row per
+   layer: every name in the layer's kind table parses, each layer
+   refuses the other's kinds, and an unknown kind's error lists the
+   table. *)
+let check_grammar layer engine ~accepted ~rejected =
+  Fun.protect ~finally:(fun () -> Fault.clear engine) @@ fun () ->
+  let kinds = Fault.kinds engine in
   List.iter
     (fun spec ->
-      match Fsio.install_plan spec with
-      | Ok () -> Alcotest.failf "plan %S accepted" spec
+      match Fault.install engine spec with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s plan %S rejected: %s" layer spec m)
+    (accepted @ List.map (fun k -> k ^ "@1") kinds);
+  List.iter
+    (fun spec ->
+      match Fault.install engine spec with
+      | Ok () -> Alcotest.failf "%s plan %S accepted" layer spec
       | Error _ -> ())
-    [ ""; "bogus"; "crash@0"; "crash@x"; "flip@3"; "seed=x"; "crash=3" ]
+    rejected;
+  match Fault.install engine "bogus@1" with
+  | Ok () -> Alcotest.failf "%s plan bogus@1 accepted" layer
+  | Error m ->
+    List.iter
+      (fun k ->
+        Alcotest.(check bool) (Printf.sprintf "%s error lists %s" layer k) true
+          (contains_sub m k))
+      kinds
+
+let test_plan_parse () =
+  check_grammar "fsio" Fsio.faults
+    ~accepted:
+      [ "count"; "crash@1"; "enospc@5,seed=3"; "eio@2,short@7,transient@9";
+        " crash@4 , seed=12 " ]
+    ~rejected:
+      [ ""; "bogus"; "crash@0"; "crash@x"; "flip@3"; "seed=x"; "crash=3";
+        "partition@1" ];
+  check_grammar "netio" Netio.faults
+    ~accepted:
+      [ "count"; "drop@1"; "stall@5,seed=3"; "garble@2,reset@7,partition@9";
+        " drop@4 , seed=12 " ]
+    ~rejected:
+      [ ""; "bogus"; "drop@0"; "drop@x"; "crash@3"; "enospc@1"; "seed=x";
+        "drop=3" ]
 
 let test_counters_without_plan () =
-  Fsio.clear_plan ();
-  Alcotest.(check bool) "no plan" false (Fsio.plan_active ());
-  Alcotest.(check int) "no ops counted" 0 (Fsio.op_count ());
-  Alcotest.(check int) "no injections" 0 (Fsio.injected ())
+  Fault.clear Fsio.faults;
+  Alcotest.(check bool) "no plan" false (Fault.active Fsio.faults);
+  Alcotest.(check int) "no ops counted" 0 (Fault.op_count Fsio.faults);
+  Alcotest.(check int) "no injections" 0 (Fault.injected Fsio.faults)
 
 (* ---------- crc32 ---------- *)
 
@@ -95,7 +128,7 @@ let test_atomic_write_crash_states () =
     (match Fsio.atomic_write path "NEW-BYTES!" with
     | () -> Alcotest.failf "crash@%d did not fire" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Fault.clear Fsio.faults;
     Alcotest.(check string)
       (Printf.sprintf "target intact after crash@%d" k)
       "old-bytes" (read_raw path)
@@ -111,7 +144,7 @@ let test_injected_errors_look_real () =
   | exception Sys_error m ->
     Alcotest.(check bool) "message names the injection" true
       (contains_sub m "injected eio"));
-  Alcotest.(check int) "one injection" 1 (Fsio.injected ())
+  Alcotest.(check int) "one injection" 1 (Fault.injected Fsio.faults)
 
 (* ---------- record framing ---------- *)
 
@@ -169,7 +202,7 @@ let test_short_write_repair () =
   | exception Sys_error _ -> ());
   let off = Fsio.append_record a "after-the-fault" in
   Fsio.close_append a;
-  Fsio.clear_plan ();
+  Fault.clear Fsio.faults;
   Alcotest.(check string) "append after repair readable" "after-the-fault"
     (Fsio.read_record path ~offset:off ~length:(String.length "after-the-fault"));
   let valid_end, size = Fsio.valid_prefix path in
@@ -178,15 +211,15 @@ let test_short_write_repair () =
 let test_transient_retry () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "log" in
-  let before = Fsio.retries () in
+  let before = Fault.retries Fsio.faults in
   install "transient@2,seed=5";
   let a = Fsio.open_append path in
   let off = Fsio.append_record a "eventually" in
   Fsio.close_append a;
-  Fsio.clear_plan ();
+  Fault.clear Fsio.faults;
   Alcotest.(check string) "append succeeded through retries" "eventually"
     (Fsio.read_record path ~offset:off ~length:(String.length "eventually"));
-  Alcotest.(check int) "two retries burned" (before + 2) (Fsio.retries ())
+  Alcotest.(check int) "two retries burned" (before + 2) (Fault.retries Fsio.faults)
 
 (* ---------- repository framing ---------- *)
 
@@ -242,13 +275,13 @@ let test_store_quarantines_corrupt_record () =
 let test_store_add_degrades_on_fault () =
   with_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  Fun.protect ~finally:(fun () -> Fsio.clear_plan (); Store.close store)
+  Fun.protect ~finally:(fun () -> Fault.clear Fsio.faults; Store.close store)
   @@ fun () ->
   Store.add store "good" "kept-bytes";
   (* Fault the next payload append (op 1 under this fresh plan). *)
   install "enospc@1";
   Store.add store "doomed" "lost-bytes";
-  Fsio.clear_plan ();
+  Fault.clear Fsio.faults;
   Alcotest.(check (option string)) "faulted add degraded to absence" None
     (Store.find store "doomed");
   Alcotest.(check (option string)) "earlier artifact unharmed"
@@ -307,8 +340,8 @@ let test_injection_off_is_pure () =
   let plain = build_in plain_dir in
   install "count";
   let counted = build_in counted_dir in
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Fault.op_count Fsio.faults in
+  Fault.clear Fsio.faults;
   Alcotest.(check bool) "identical build" true (same_build plain counted);
   Alcotest.(check bool) "operations counted" true (n > 0);
   List.iter
@@ -333,8 +366,8 @@ let test_crash_sweep_recovers () =
   fresh ();
   install "count";
   ignore (build_in dir);
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Fault.op_count Fsio.faults in
+  Fault.clear Fsio.faults;
   Alcotest.(check bool) "sites found" true (n > 0);
   for k = 1 to n do
     fresh ();
@@ -342,7 +375,7 @@ let test_crash_sweep_recovers () =
     (match build_in dir with
     | _ -> Alcotest.failf "crash@%d never fired" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Fault.clear Fsio.faults;
     match build_in dir with
     | recovered ->
       if not (same_build oracle recovered) then
@@ -475,8 +508,8 @@ let test_pack_crash_sweep () =
   let path = Filename.concat dir "fleet.shards" in
   install "count";
   Ingest.write_pack path pack_shards;
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Fault.op_count Fsio.faults in
+  Fault.clear Fsio.faults;
   Alcotest.(check bool) "sites found" true (n > 0);
   let clean, clean_skips = Ingest.read_pack path in
   Alcotest.(check int) "clean pack has no skips" 0 clean_skips;
@@ -491,7 +524,7 @@ let test_pack_crash_sweep () =
     (match Ingest.write_pack path pack_shards with
     | () -> Alcotest.failf "crash@%d never fired" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Fault.clear Fsio.faults;
     (* Degraded read of whatever the crash left. *)
     let got =
       if Sys.file_exists path then fst (Ingest.read_pack path) else []
@@ -593,8 +626,8 @@ let test_cohort_crash_sweep () =
   remove_tree reg_dir;
   install "count";
   ops (Cohort.open_ ~dir:reg_dir);
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Fault.op_count Fsio.faults in
+  Fault.clear Fsio.faults;
   Alcotest.(check bool) "sites found" true (n > 0);
   for k = 1 to n do
     remove_tree reg_dir;
@@ -602,7 +635,7 @@ let test_cohort_crash_sweep () =
     (match ops (Cohort.open_ ~dir:reg_dir) with
     | () -> Alcotest.failf "crash@%d never fired" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Fault.clear Fsio.faults;
     (* Whatever the crash left behind, every read degrades — nothing
        raises. *)
     let reg = Cohort.open_ ~dir:reg_dir in
@@ -617,41 +650,24 @@ let test_cohort_crash_sweep () =
 
 (* ---------- the network chokepoint (Netio) ---------- *)
 
-(* Fsio's plan discipline applied to the wire: the same grammar shape,
-   counters, purity-of-counting and injected-errors-look-real
-   properties, against Netio's own fault kinds. *)
-
-module Netio = Cmo_support.Netio
+(* Fsio's plan discipline applied to the wire: the same counters,
+   purity-of-counting and injected-errors-look-real properties,
+   against Netio's own fault kinds. *)
 
 let net_install spec =
-  match Netio.install_plan spec with
+  match Fault.install Netio.faults spec with
   | Ok () -> ()
   | Error m -> Alcotest.failf "net plan %S rejected: %s" spec m
 
 let with_net_plan spec f =
   net_install spec;
-  Fun.protect ~finally:Netio.clear_plan f
-
-let test_net_plan_parse () =
-  Fun.protect ~finally:Netio.clear_plan @@ fun () ->
-  List.iter net_install
-    [ "count"; "drop@1"; "stall@5,seed=3"; "garble@2,reset@7,partition@9";
-      " drop@4 , seed=12 " ];
-  List.iter
-    (fun spec ->
-      match Netio.install_plan spec with
-      | Ok () -> Alcotest.failf "net plan %S accepted" spec
-      | Error _ -> ())
-    (* crash/enospc are Fsio kinds — the wire injector must not
-       accept disk faults. *)
-    [ ""; "bogus"; "drop@0"; "drop@x"; "crash@3"; "enospc@1"; "seed=x";
-      "drop=3" ]
+  Fun.protect ~finally:(fun () -> Fault.clear Netio.faults) f
 
 let test_net_counters_without_plan () =
-  Netio.clear_plan ();
-  Alcotest.(check bool) "no plan" false (Netio.plan_active ());
-  Alcotest.(check int) "no ops counted" 0 (Netio.op_count ());
-  Alcotest.(check int) "no injections" 0 (Netio.injected ())
+  Fault.clear Netio.faults;
+  Alcotest.(check bool) "no plan" false (Fault.active Netio.faults);
+  Alcotest.(check int) "no ops counted" 0 (Fault.op_count Netio.faults);
+  Alcotest.(check int) "no injections" 0 (Fault.injected Netio.faults)
 
 let test_net_parse_addr () =
   let ok s = Netio.parse_addr s in
@@ -673,7 +689,7 @@ let with_net_pair f =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
-      Netio.clear_plan ();
+      Fault.clear Netio.faults;
       (try Unix.close a with Unix.Unix_error _ -> ());
       try Unix.close b with Unix.Unix_error _ -> ())
     (fun () -> f a b)
@@ -687,8 +703,8 @@ let test_net_counting_is_pure () =
   (match Netio.recv ~timeout_s:1.0 b with
   | Ok payload -> Alcotest.(check string) "payload intact" "across the wire" payload
   | Error _ -> Alcotest.fail "counted recv failed");
-  Alcotest.(check int) "two operations counted" 2 (Netio.op_count ());
-  Alcotest.(check int) "nothing injected" 0 (Netio.injected ())
+  Alcotest.(check int) "two operations counted" 2 (Fault.op_count Netio.faults);
+  Alcotest.(check int) "nothing injected" 0 (Fault.injected Netio.faults)
 
 let test_net_drop () =
   with_net_pair @@ fun a b ->
@@ -696,7 +712,7 @@ let test_net_drop () =
      read times out for real because nothing was written. *)
   with_net_plan "drop@1" (fun () ->
       Netio.send a "lost";
-      Alcotest.(check int) "drop injected" 1 (Netio.injected ());
+      Alcotest.(check int) "drop injected" 1 (Fault.injected Netio.faults);
       match Fsio.read_framed ~timeout_s:0.05 b with
       | Error `Timeout -> ()
       | _ -> Alcotest.fail "dropped send reached the peer");
@@ -766,11 +782,11 @@ let test_net_partition_is_sticky () =
   with_net_pair @@ fun a b ->
   with_net_plan "partition@1" @@ fun () ->
   Netio.send a "severed";
-  Alcotest.(check int) "partition injected once" 1 (Netio.injected ());
+  Alcotest.(check int) "partition injected once" 1 (Fault.injected Netio.faults);
   (* Every later operation is suppressed without advancing the
      operation clock: sends write nothing, recvs time out, dials
      fail. *)
-  let ops_after = Netio.op_count () in
+  let ops_after = Fault.op_count Netio.faults in
   Netio.send a "also severed";
   (match Netio.recv ~timeout_s:1.0 b with
   | Error `Timeout -> ()
@@ -780,10 +796,10 @@ let test_net_partition_is_sticky () =
     Unix.close fd;
     Alcotest.fail "severed connect succeeded"
   | exception Sys_error _ -> ());
-  Alcotest.(check int) "severed ops do not count" ops_after (Netio.op_count ());
-  Alcotest.(check int) "partition counts once" 1 (Netio.injected ());
+  Alcotest.(check int) "severed ops do not count" ops_after (Fault.op_count Netio.faults);
+  Alcotest.(check int) "partition counts once" 1 (Fault.injected Netio.faults);
   (* Clearing the plan heals the partition. *)
-  Netio.clear_plan ();
+  Fault.clear Netio.faults;
   Netio.send a "healed";
   match Netio.recv ~timeout_s:1.0 b with
   | Ok p -> Alcotest.(check string) "post-heal roundtrip" "healed" p
@@ -792,7 +808,7 @@ let test_net_partition_is_sticky () =
 (* Real loopback: listen on an ephemeral port, dial it, move frames
    both ways — the no-plan fast path of the whole connect stack. *)
 let test_net_listen_connect_roundtrip () =
-  Netio.clear_plan ();
+  Fault.clear Netio.faults;
   let lfd, port = Netio.listen "127.0.0.1" 0 in
   Fun.protect ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -818,16 +834,16 @@ let test_net_listen_connect_roundtrip () =
    Sys_error — an injected-or-real distinction the caller cannot
    see. *)
 let test_net_connect_retries_then_fails () =
-  Netio.clear_plan ();
+  Fault.clear Netio.faults;
   let lfd, port = Netio.listen "127.0.0.1" 0 in
   Unix.close lfd;
-  let r0 = Netio.retries () in
+  let r0 = Fault.retries Netio.faults in
   (match Netio.connect ~timeout_s:0.5 "127.0.0.1" port with
   | fd ->
     Unix.close fd;
     Alcotest.fail "connect to a closed port succeeded"
   | exception Sys_error _ -> ());
-  Alcotest.(check bool) "bounded retries burned" true (Netio.retries () - r0 >= 2)
+  Alcotest.(check bool) "bounded retries burned" true (Fault.retries Netio.faults - r0 >= 2)
 
 let suite =
   [
@@ -851,7 +867,6 @@ let suite =
     Helpers.to_alcotest test_pack_corruption_clean_subset;
     ("pack crash sweep", `Slow, test_pack_crash_sweep);
     ("cohort registry crash sweep", `Slow, test_cohort_crash_sweep);
-    ("net plan grammar", `Quick, test_net_plan_parse);
     ("net counters without a plan", `Quick, test_net_counters_without_plan);
     ("net address parsing", `Quick, test_net_parse_addr);
     ("net counting plan is pure", `Quick, test_net_counting_is_pure);
