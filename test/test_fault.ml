@@ -50,7 +50,7 @@ let write_raw path data =
 
 (* ---------- plan grammar ---------- *)
 
-(* Both layers' plans go through Fault's one grammar, one row per
+(* Both layers' plans go through Fault's one grammar, one test per
    layer: every name in the layer's kind table parses, each layer
    refuses the other's kinds, and an unknown kind's error lists the
    table. *)
@@ -85,7 +85,9 @@ let test_plan_parse () =
         " crash@4 , seed=12 " ]
     ~rejected:
       [ ""; "bogus"; "crash@0"; "crash@x"; "flip@3"; "seed=x"; "crash=3";
-        "partition@1" ];
+        "partition@1" ]
+
+let test_net_plan_parse () =
   check_grammar "netio" Netio.faults
     ~accepted:
       [ "count"; "drop@1"; "stall@5,seed=3"; "garble@2,reset@7,partition@9";
@@ -867,6 +869,7 @@ let suite =
     Helpers.to_alcotest test_pack_corruption_clean_subset;
     ("pack crash sweep", `Slow, test_pack_crash_sweep);
     ("cohort registry crash sweep", `Slow, test_cohort_crash_sweep);
+    ("net plan grammar", `Quick, test_net_plan_parse);
     ("net counters without a plan", `Quick, test_net_counters_without_plan);
     ("net address parsing", `Quick, test_net_parse_addr);
     ("net counting plan is pure", `Quick, test_net_counting_is_pure);
