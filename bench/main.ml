@@ -748,23 +748,32 @@ let incremental_for name =
     let seconds = Sys.time () -. before in
     (outcome, seconds, Phase.funcs_processed () - hlo_before)
   in
-  Printf.printf "%-20s | %8s | %6s | %14s | %17s | %s\n" "build" "seconds"
-    "front" "module cache" "cmo set" "funcs through HLO";
+  Printf.printf "%-20s | %8s | %6s | %14s | %17s | %14s | %s\n" "build"
+    "seconds" "front" "module cache" "cmo set" "codegen" "funcs through HLO";
+  let code_misses (outcome, _, _) =
+    match outcome.Buildsys.build.Pipeline.report.Pipeline.cache with
+    | Some c -> c.Pipeline.code_misses
+    | None -> -1
+  in
   let describe label (outcome, seconds, hlo_funcs) =
     let cache = outcome.Buildsys.build.Pipeline.report.Pipeline.cache in
-    let hits, misses, cached, reopt =
+    let hits, misses, cached, reopt, code_hits, code_misses =
       match cache with
       | Some c ->
         ( c.Pipeline.hits,
           c.Pipeline.misses,
           List.length c.Pipeline.cmo_cached,
-          List.length c.Pipeline.cmo_reoptimized )
-      | None -> (0, 0, 0, 0)
+          List.length c.Pipeline.cmo_reoptimized,
+          c.Pipeline.code_hits,
+          c.Pipeline.code_misses )
+      | None -> (0, 0, 0, 0, 0, 0)
     in
-    Printf.printf "%-20s | %8.2f | %6d | %4d hit %4d miss | %4d cached %4d reopt | %d\n%!"
+    Printf.printf
+      "%-20s | %8.2f | %6d | %4d hit %4d miss | %4d cached %4d reopt | %4d hit \
+       %4d miss | %d\n%!"
       label seconds
       (List.length outcome.Buildsys.recompiled)
-      hits misses cached reopt hlo_funcs
+      hits misses cached reopt code_hits code_misses hlo_funcs
   in
   let image (outcome, _, _) = outcome.Buildsys.build.Pipeline.image in
   let cycles (outcome, _, _) =
@@ -782,17 +791,27 @@ let incremental_for name =
   let back = timed sources in
   describe "edit reverted" back;
   let _, _, warm_hlo = warm in
-  Printf.printf "warm rebuild bit-identical to cold: %b, zero HLO work: %b\n"
-    (image cold = image warm) (warm_hlo = 0);
+  let warm_same = image cold = image warm in
+  let back_same = image cold = image back in
+  Printf.printf
+    "warm rebuild bit-identical to cold: %b, zero HLO work: %b, zero codegen \
+     misses: %b\n"
+    warm_same (warm_hlo = 0)
+    (code_misses warm = 0);
   Printf.printf "reverted rebuild bit-identical to cold: %b (%d Mcycles)\n"
-    (image cold = image back)
+    back_same
     (cycles back / 1_000_000);
   let store = Store.open_ ~dir:(Buildsys.cache_dir ws) () in
   Fun.protect
     ~finally:(fun () -> Store.close store)
     (fun () ->
       Format.printf "artifact store (all tiers, all builds): %a@."
-        Store.pp_stats (Store.stats store))
+        Store.pp_stats (Store.stats store));
+  if not (warm_same && back_same && warm_hlo = 0 && code_misses warm = 0)
+  then begin
+    print_endline "incremental: a rebuild diverged or redid work";
+    exit 1
+  end
 
 let incremental () = incremental_for "gcc"
 let incremental_smoke () = incremental_for "li"

@@ -1376,10 +1376,12 @@ let build_cmd =
       (match report.Pipeline.cache with
       | Some c ->
         Printf.printf
-          "link cache: %d hits, %d misses; %d cmo modules cached, %d re-optimized\n"
+          "link cache: %d hits, %d misses; %d cmo modules cached, %d \
+           re-optimized; codegen %d hits, %d misses\n"
           c.Pipeline.hits c.Pipeline.misses
           (List.length c.Pipeline.cmo_cached)
-          (List.length c.Pipeline.cmo_reoptimized);
+          (List.length c.Pipeline.cmo_reoptimized)
+          c.Pipeline.code_hits c.Pipeline.code_misses;
         if c.Pipeline.remote_hits + c.Pipeline.remote_misses > 0 then
           Printf.printf "remote cache: %d hits, %d misses\n"
             c.Pipeline.remote_hits c.Pipeline.remote_misses

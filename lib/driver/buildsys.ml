@@ -143,6 +143,10 @@ let request ?profile ?remote s (options : Options.t) sources =
   let want_il = options.Options.level = Options.O4 in
   let recompiled = ref [] in
   let reused = ref [] in
+  (* The object-load/frontend loop is this workflow's frontend phase;
+     [Pipeline.compile_modules] never sees it. *)
+  let t0 = Sys.time () in
+  let w0 = Unix.gettimeofday () in
   let objects =
     Cmo_obs.Obs.with_span ~cat:"stage" "frontend" @@ fun () ->
     List.map
@@ -176,6 +180,8 @@ let request ?profile ?remote s (options : Options.t) sources =
           obj)
       sources
   in
+  let frontend_seconds = Sys.time () -. t0 in
+  let frontend_wall_seconds = Unix.gettimeofday () -. w0 in
   let build_result =
     if want_il then begin
       (* CMO happens at link time, over the IL read back from disk. *)
@@ -191,6 +197,19 @@ let request ?profile ?remote s (options : Options.t) sources =
                       o.Objfile.module_name)))
           objects
       in
+      let with_frontend_time (b : Pipeline.build) =
+        {
+          b with
+          Pipeline.report =
+            {
+              b.Pipeline.report with
+              Pipeline.frontend_seconds;
+              frontend_wall_seconds;
+            };
+        }
+      in
+      with_frontend_time
+      @@
       match s.sstore with
       | Some store ->
         let b =
@@ -205,6 +224,8 @@ let request ?profile ?remote s (options : Options.t) sources =
         Pipeline.compile_modules ?profile ?naim_repo:s.srepo options modules
     end
     else begin
+      let t1 = Sys.time () in
+      let w1 = Unix.gettimeofday () in
       let image =
         Cmo_obs.Obs.with_span ~cat:"stage" "link" @@ fun () ->
         match Linker.link objects with
@@ -217,6 +238,8 @@ let request ?profile ?remote s (options : Options.t) sources =
                      Linker.pp_error)
                   errs))
       in
+      let link_seconds = Sys.time () -. t1 in
+      let link_wall_seconds = Unix.gettimeofday () -. w1 in
       let mem = Memstats.create () in
       {
         Pipeline.image;
@@ -238,13 +261,14 @@ let request ?profile ?remote s (options : Options.t) sources =
                 peephole_rewrites = 0;
                 layout_changes = 0;
               };
-            frontend_seconds = 0.0;
+            frontend_seconds;
             hlo_seconds = 0.0;
             llo_seconds = 0.0;
-            link_seconds = 0.0;
-            frontend_wall_seconds = 0.0;
+            link_seconds;
+            frontend_wall_seconds;
             hlo_wall_seconds = 0.0;
             llo_wall_seconds = 0.0;
+            link_wall_seconds;
             workers_used = 1;
             total_lines = 0;
             cmo_lines = 0;

@@ -21,6 +21,8 @@ module Ipa = Cmo_hlo.Ipa
 module Phase = Cmo_hlo.Phase
 module Selectivity = Cmo_hlo.Selectivity
 module Llo = Cmo_llo.Llo
+module Layout = Cmo_llo.Layout
+module Codec = Cmo_support.Codec
 module Objfile = Cmo_link.Objfile
 module Linker = Cmo_link.Linker
 module Cluster = Cmo_link.Cluster
@@ -50,6 +52,8 @@ type cache_usage = {
   cmo_cached : string list;  (** CMO-set modules taken from the store. *)
   cmo_reoptimized : string list;
       (** CMO-set modules whose link-time optimization actually ran. *)
+  code_hits : int;  (** Modules whose machine code came from the store. *)
+  code_misses : int;  (** Modules LLO code-generated afresh. *)
 }
 
 type report = {
@@ -70,6 +74,7 @@ type report = {
   frontend_wall_seconds : float;
   hlo_wall_seconds : float;
   llo_wall_seconds : float;
+  link_wall_seconds : float;  (* outside the phase sums: link is serial *)
   workers_used : int;
   total_lines : int;
   cmo_lines : int;
@@ -232,6 +237,72 @@ let zero_llo_stats =
     layout_changes = 0;
   }
 
+(* --- the codegen tier of the artifact store ------------------------- *)
+
+(* A module's LLO output as the store keeps it: the code object, its
+   [Llo.stats], and its largest per-routine modeled LLO charge.  The
+   key names [code_format]; bump it whenever LLO output or this entry
+   layout changes, or stale entries would be served as current. *)
+let code_format = "llo1"
+
+let code_key ~layout il =
+  Fingerprint.of_strings [ code_format; string_of_bool layout; il ]
+
+let encode_code_entry obj (s : Llo.stats) max_charge =
+  let w = Codec.Writer.create () in
+  List.iter (Codec.Writer.uvarint w)
+    [
+      s.Llo.routines;
+      s.Llo.mach_instrs;
+      s.Llo.spilled_vregs;
+      s.Llo.peephole_rewrites;
+      s.Llo.layout_changes;
+      max_charge;
+    ];
+  Codec.Writer.string w (Objfile.encode obj);
+  Codec.Writer.contents w
+
+(* Anything unexpected — corrupt bytes, another module's object under
+   the key — degrades to a miss.  Garbage can decode to a negative
+   length, which [String.sub] rejects with [Invalid_argument]. *)
+let decode_code_entry bytes mname =
+  let module R = Codec.Reader in
+  let decode () =
+    let r = R.of_string bytes in
+    let count () =
+      let n = R.uvarint r in
+      if n < 0 then R.corrupt "negative count" else n
+    in
+    let routines = count () in
+    let mach_instrs = count () in
+    let spilled_vregs = count () in
+    let peephole_rewrites = count () in
+    let layout_changes = count () in
+    let max_charge = count () in
+    let obj = Objfile.decode (R.string r) in
+    if not (R.at_end r) then R.corrupt "trailing bytes";
+    let stats =
+      {
+        Llo.routines;
+        mach_instrs;
+        spilled_vregs;
+        peephole_rewrites;
+        layout_changes;
+      }
+    in
+    (obj, stats, max_charge)
+  in
+  match decode () with
+  | (obj, _, _) as entry
+    when obj.Objfile.module_name = mname && not (Objfile.is_il obj) ->
+    Some entry
+  | _ -> None
+  | exception (R.Corrupt _ | Invalid_argument _) -> None
+
+type code_lookup =
+  | Code_hit of (Objfile.t * Llo.stats * int)
+  | Code_miss of (Store.t * string) option  (* where to add the fresh entry *)
+
 let link_or_fail ?routine_order objects =
   match Linker.link ?routine_order objects with
   | Ok image -> image
@@ -315,6 +386,7 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
           frontend_wall_seconds = 0.0;
           hlo_wall_seconds = 0.0;
           llo_wall_seconds = w1 -. w0;
+          link_wall_seconds = 0.0;
           workers_used = 1;
           total_lines;
           cmo_lines = 0;
@@ -365,6 +437,9 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
     in
     let cmo_cached = ref [] in
     let cmo_reoptimized = ref [] in
+    (* Post-HLO IL bytes the store path already holds, by module: the
+       codegen tier keys on them instead of re-encoding. *)
+    let il_bytes = Hashtbl.create 16 in
     let hlo_t0 = Sys.time () in
     let hlo_w0 = Unix.gettimeofday () in
     (* Decide the CMO set and optimize it. *)
@@ -417,12 +492,15 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
                 f.Func.blocks)
             m.Ilmod.funcs
         in
-        (* Decode a stored module artifact; anything unexpected —
-           corrupt bytes, a key collision surfacing as the wrong
-           module — degrades to a miss. *)
+        (* Decode a stored module artifact, keeping its bytes for the
+           codegen key; anything unexpected — corrupt bytes, a key
+           collision surfacing as the wrong module — degrades to a
+           miss. *)
         let decode_artifact bytes mname =
           match Ilcodec.decode_module bytes with
-          | m when m.Ilmod.mname = mname -> Some m
+          | m when m.Ilmod.mname = mname ->
+            Hashtbl.replace il_bytes mname bytes;
+            Some m
           | _ -> None
           | exception Cmo_support.Codec.Reader.Corrupt _ -> None
         in
@@ -506,6 +584,7 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
               | None ->
                 optimize ();
                 let bytes = Ilcodec.encode_module m in
+                Hashtbl.replace il_bytes m.Ilmod.mname bytes;
                 Store.add store key bytes;
                 remote_put key bytes;
                 m)
@@ -880,6 +959,7 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
                       | Some b -> b
                       | None -> Ilcodec.encode_module m'
                     in
+                    Hashtbl.replace il_bytes m'.Ilmod.mname bytes;
                     Store.add store key bytes;
                     remote_put key bytes
                   | None -> ())
@@ -935,10 +1015,19 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
     Log.info (fun m ->
         m "%s: hlo %.3fs, cmo %d/%d lines" (Options.to_string options)
           (hlo_t1 -. hlo_t0) !cmo_lines total_lines);
-    (* Code generation: per-module and independent.  Parallel workers
-       carry their own stats accumulator and accountant, merged in
-       module order after the join, so objects, stats and modeled
-       peaks match the sequential run. *)
+    (* Code generation: per-module and independent.  Each module
+       compiles with its own stats accumulator and accountant, merged
+       in module order, so objects, stats and modeled peaks are the
+       same at every [jobs].
+
+       With a store attached, the codegen tier serves modules whose
+       post-HLO IL it has seen before, keyed on those IL bytes, the
+       [layout] flag and [code_format].  A hit replays what LLO leaves
+       behind: block layout (and its check) on the IL the linker's
+       clustering reads, the stored stats, and the stored peak
+       charged and released.  Lookups and adds run serially in module
+       order and only misses go to the pool, so the store's bytes do
+       not depend on [jobs]. *)
     let llo_stats = ref zero_llo_stats in
     let layout = options.Options.pbo && options.Options.level <> Options.O1 in
     (* Post-CMO view: clones present, IPA-removed routines gone — a
@@ -947,32 +1036,83 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
       checker_of
         (memo_locked (fun () -> Ilcheck.env_of_modules processed_modules))
     in
+    let codegen m =
+      let wmem = Memstats.create () in
+      let acc = ref zero_llo_stats in
+      let obj = llo_module ?check:llo_check ~mem:(Some wmem) ~layout acc m in
+      (obj, !acc, wmem)
+    in
+    let replay (m : Ilmod.t) (obj, stats, max_charge) =
+      if layout then
+        List.iter
+          (fun f ->
+            ignore (Layout.run f);
+            Option.iter (fun check -> check ~phase:"layout" f) llo_check)
+          m.Ilmod.funcs;
+      let wmem = Memstats.create () in
+      Memstats.charge wmem Memstats.Llo max_charge;
+      Memstats.release wmem Memstats.Llo max_charge;
+      (obj, stats, wmem)
+    in
+    let code_hits = ref 0 in
+    let code_misses = ref 0 in
+    let lookup (m : Ilmod.t) =
+      match cache with
+      | None -> Code_miss None
+      | Some store -> (
+        let il =
+          match Hashtbl.find_opt il_bytes m.Ilmod.mname with
+          | Some bytes -> bytes
+          | None -> Ilcodec.encode_module m
+        in
+        let key = code_key ~layout il in
+        match
+          Option.bind (Store.find store key) (fun bytes ->
+              decode_code_entry bytes m.Ilmod.mname)
+        with
+        | Some entry ->
+          incr code_hits;
+          Obs.tick "cache.code" "hits" 1;
+          Code_hit entry
+        | None ->
+          incr code_misses;
+          Obs.tick "cache.code" "misses" 1;
+          Code_miss (Some (store, key)))
+    in
     let objects =
       Obs.with_span ~cat:"stage" "llo" @@ fun () ->
-      if jobs > 1 then begin
-        let results =
-          Parwork.with_pool ~jobs (fun pool ->
-              Parwork.map pool
-                (fun m ->
-                  let wmem = Memstats.create () in
-                  let acc = ref zero_llo_stats in
-                  let obj =
-                    llo_module ?check:llo_check ~mem:(Some wmem) ~layout acc m
-                  in
-                  (obj, !acc, wmem))
-                processed_modules)
-        in
-        List.map
-          (fun (obj, stats, wmem) ->
-            llo_stats := add_llo_stats !llo_stats stats;
-            Memstats.merge mem wmem;
-            obj)
-          results
-      end
-      else
-        List.map
-          (llo_module ?check:llo_check ~mem:(Some mem) ~layout llo_stats)
-          processed_modules
+      let looked = List.map (fun m -> (m, lookup m)) processed_modules in
+      let misses =
+        List.filter_map
+          (function m, Code_miss _ -> Some m | _, Code_hit _ -> None)
+          looked
+      in
+      let fresh =
+        ref
+          (if misses = [] then []
+           else
+             Parwork.with_pool ~jobs (fun pool ->
+                 Parwork.map pool codegen misses))
+      in
+      List.map
+        (fun (m, found) ->
+          let obj, stats, wmem =
+            match (found, !fresh) with
+            | Code_hit entry, _ -> replay m entry
+            | Code_miss dest, ((obj, stats, wmem) as r) :: rest ->
+              fresh := rest;
+              Option.iter
+                (fun (store, key) ->
+                  Store.add store key
+                    (encode_code_entry obj stats (Memstats.peak wmem)))
+                dest;
+              r
+            | Code_miss _, [] -> assert false
+          in
+          llo_stats := add_llo_stats !llo_stats stats;
+          Memstats.merge mem wmem;
+          obj)
+        looked
     in
     let llo_t1 = Sys.time () in
     let llo_w1 = Unix.gettimeofday () in
@@ -995,6 +1135,7 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
       link_or_fail ?routine_order objects
     in
     let link_t1 = Sys.time () in
+    let link_w1 = Unix.gettimeofday () in
     Log.info (fun m ->
         m "%s: llo %.3fs, link %.3fs, %d instrs"
           (Options.to_string options) (llo_t1 -. hlo_t1) (link_t1 -. llo_t1)
@@ -1019,6 +1160,7 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
           frontend_wall_seconds = 0.0;
           hlo_wall_seconds = hlo_w1 -. hlo_w0;
           llo_wall_seconds = llo_w1 -. hlo_w1;
+          link_wall_seconds = link_w1 -. llo_w1;
           workers_used = jobs;
           total_lines;
           cmo_lines = !cmo_lines;
@@ -1034,6 +1176,8 @@ let compile_modules_inner ?profile ?cache ?naim_repo ?remote
                   remote_misses = !remote_misses;
                   cmo_cached = !cmo_cached;
                   cmo_reoptimized = !cmo_reoptimized;
+                  code_hits = !code_hits;
+                  code_misses = !code_misses;
                 })
               cache;
           obs = obs_summary ();
@@ -1133,10 +1277,12 @@ let pp_report ppf r =
   (match r.cache with
   | Some c ->
     Format.fprintf ppf
-      "@,cache: %d module hits, %d misses; %d cmo cached, %d re-optimized"
+      "@,cache: %d module hits, %d misses; %d cmo cached, %d re-optimized; \
+       codegen %d hits, %d misses"
       c.hits c.misses
       (List.length c.cmo_cached)
-      (List.length c.cmo_reoptimized);
+      (List.length c.cmo_reoptimized)
+      c.code_hits c.code_misses;
     if c.remote_hits + c.remote_misses > 0 then
       Format.fprintf ppf "@,remote cache: %d hits, %d misses" c.remote_hits
         c.remote_misses
@@ -1182,6 +1328,7 @@ let report_to_json r =
             ("frontend", Json.Num r.frontend_wall_seconds);
             ("hlo", Json.Num r.hlo_wall_seconds);
             ("llo", Json.Num r.llo_wall_seconds);
+            ("link", Json.Num r.link_wall_seconds);
             ("phases", Json.Num (phase_wall_seconds r));
           ] );
       ("workers_used", num_i r.workers_used);
@@ -1237,6 +1384,8 @@ let report_to_json r =
                 ("misses", num_i c.misses);
                 ("remote_hits", num_i c.remote_hits);
                 ("remote_misses", num_i c.remote_misses);
+                ("code_hits", num_i c.code_hits);
+                ("code_misses", num_i c.code_misses);
                 ( "cmo_cached",
                   Json.Arr (List.map (fun n -> Json.Str n) c.cmo_cached) );
                 ( "cmo_reoptimized",

@@ -35,10 +35,15 @@ type cache_usage = {
   cmo_reoptimized : string list;
       (** CMO-set modules whose link-time optimization actually ran
           (the invalidation closure of the changed modules). *)
+  code_hits : int;
+      (** Modules whose machine code, stats and LLO peak came from the
+          store's codegen tier. *)
+  code_misses : int;  (** Modules LLO code-generated afresh. *)
 }
-(** Artifact-cache traffic for one build.  Module-level only: the
-    store's own {!Cmo_cache.Store.stats} additionally count the
-    per-routine phase cache. *)
+(** Artifact-cache traffic for one build, per module: the post-CMO IL
+    tier ([hits]/[misses]) and the codegen tier ([code_hits] /
+    [code_misses]).  The store's own {!Cmo_cache.Store.stats}
+    additionally count the per-routine phase cache. *)
 
 type report = {
   options : Options.t;
@@ -56,10 +61,14 @@ type report = {
       (** Wall clock for the phases that run on the worker pool; the
           [*_seconds] fields above are process CPU time across every
           domain, so cpu/wall is the realized parallel speedup (see
-          {!par_speedup}).  Zero when measured via {!compile_modules}
-          directly (the frontend ran elsewhere). *)
+          {!par_speedup}).  {!compile_modules} leaves the frontend
+          fields zero (the frontend ran elsewhere); [Buildsys.request]
+          fills them from its object-load/frontend loop. *)
   hlo_wall_seconds : float;
   llo_wall_seconds : float;
+  link_wall_seconds : float;
+      (** Wall clock of the (serial) link; not part of
+          {!phase_wall_seconds}. *)
   workers_used : int;  (** The [jobs] the build ran with. *)
   total_lines : int;
   cmo_lines : int;  (** Source lines in the CMO set. *)
@@ -167,8 +176,18 @@ val compile_modules :
     not at all (the report's [hlo] is [None]); otherwise only the
     invalidation closure of the changed modules is re-optimized —
     falling back to the whole set under profile-guided cloning or the
-    bug-isolation limits, whose budgets are program-wide.  Cached or
-    not, the resulting image is bit-identical. *)
+    bug-isolation limits, whose budgets are program-wide.  At every
+    level, [cache] also enables the codegen tier: a module's code
+    object, LLO stats and peak LLO charge are stored under its
+    post-HLO IL bytes and the layout flag, so a module whose IL is
+    unchanged skips LLO (block layout still runs on its IL under +P).
+    Cached or not, the resulting image, objects, LLO stats and
+    modeled peaks are bit-identical. *)
+
+val code_key : layout:bool -> string -> string
+(** The codegen tier's store key for a module whose post-HLO IL
+    encodes ({!Cmo_il.Ilcodec.encode_module}) to the given bytes,
+    code-generated with or without profile-guided block layout. *)
 
 val run :
   ?input:int64 array -> ?fuel:int -> ?attribute:bool -> build ->

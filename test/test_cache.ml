@@ -418,10 +418,161 @@ let test_buildsys_warm_build_skips_hlo () =
       check_same_image "null rebuild image"
         (image first.Buildsys.build)
         (image second.Buildsys.build);
+      (* The object-load/frontend loop is timed, and the link's wall
+         time is reported. *)
+      let report = first.Buildsys.build.Pipeline.report in
+      Alcotest.(check bool) "frontend wall time filled" true
+        (report.Pipeline.frontend_wall_seconds > 0.0);
+      let json = Pipeline.report_to_json report in
+      Alcotest.(check bool) "wall_seconds.link reported" true
+        (Option.bind (Cmo_obs.Json.member "wall_seconds" json)
+           (Cmo_obs.Json.member "link")
+        |> Option.map (fun j -> Cmo_obs.Json.num j <> None)
+        = Some true);
       (* clean wipes the cache directory too. *)
       Buildsys.clean ws;
       Alcotest.(check bool) "clean removed the cache dir" false
         (Sys.file_exists (Buildsys.cache_dir ws)))
+
+(* ---------- the codegen tier ---------- *)
+
+let code_counts (build : Pipeline.build) =
+  let u = cache_usage build in
+  (u.Pipeline.code_hits, u.Pipeline.code_misses)
+
+let check_code_counts msg expected build =
+  Alcotest.(check (pair int int)) (msg ^ ": codegen hits, misses") expected
+    (code_counts build)
+
+(* Everything a code hit must reproduce of a regenerated build. *)
+let check_same_output msg (a : Pipeline.build) (b : Pipeline.build) =
+  check_same_image msg (image a) (image b);
+  Alcotest.(check bool) (msg ^ ": objects") true
+    (a.Pipeline.objects = b.Pipeline.objects);
+  Alcotest.(check bool) (msg ^ ": llo stats") true
+    (a.Pipeline.report.Pipeline.llo = b.Pipeline.report.Pipeline.llo);
+  Alcotest.(check int) (msg ^ ": mem_peak") a.Pipeline.report.Pipeline.mem_peak
+    b.Pipeline.report.Pipeline.mem_peak;
+  Alcotest.(check int) (msg ^ ": mem_peak_hlo")
+    a.Pipeline.report.Pipeline.mem_peak_hlo
+    b.Pipeline.report.Pipeline.mem_peak_hlo
+
+(* Post-HLO IL bytes per module, from the whole-set optimizer every
+   +O4 build of [app] runs (all modules in the CMO set, so nothing is
+   external). *)
+let post_hlo_il options sources =
+  let optimized, _, _ =
+    Cmo_driver.Distwork.optimize_subset ~options
+      ~externally_called:(fun _ -> false)
+      ~externally_stored:(fun _ -> false)
+      ~mem:(Cmo_naim.Memstats.create ())
+      (frontend sources)
+  in
+  List.map
+    (fun (m : Ilmod.t) -> (m.Ilmod.mname, Cmo_il.Ilcodec.encode_module m))
+    optimized
+
+let test_codegen_warm_rebuild_replays_llo () =
+  (* +O2 runs the same HLO work every build, so a warm build must equal
+     the cold one in every reported figure, modeled peaks included. *)
+  with_store (fun store ->
+      let sources = app () in
+      let cold = Pipeline.compile ~cache:store Options.o2 sources in
+      check_code_counts "+O2 cold" (0, 4) cold;
+      let warm = Pipeline.compile ~cache:store Options.o2 sources in
+      check_code_counts "+O2 warm" (4, 0) warm;
+      check_same_output "+O2 warm = cold" cold warm);
+  (* +O4 and +O4 +P: the warm build skips HLO, so the peaks are not
+     comparable with the cold build's, but code and stats are. *)
+  List.iter
+    (fun (label, options) ->
+      with_store (fun store ->
+          let sources = app () in
+          let db = Pipeline.train sources in
+          let build () =
+            Pipeline.compile ~profile:db ~cache:store options sources
+          in
+          let cold = build () in
+          check_code_counts (label ^ " cold") (0, 4) cold;
+          let warm = build () in
+          check_code_counts (label ^ " warm") (4, 0) warm;
+          check_same_image (label ^ " warm = cold") (image cold) (image warm);
+          Alcotest.(check bool) (label ^ ": objects") true
+            (cold.Pipeline.objects = warm.Pipeline.objects);
+          Alcotest.(check bool) (label ^ ": llo stats") true
+            (cold.Pipeline.report.Pipeline.llo
+            = warm.Pipeline.report.Pipeline.llo)))
+    [ ("+O4", Options.o4); ("+O4 +P", Options.o4_pbo) ]
+
+let test_codegen_edit_misses_changed_il_only () =
+  with_store (fun store ->
+      let before = post_hlo_il Options.o4 (app ()) in
+      let after = post_hlo_il Options.o4 (app ~kd:77 ()) in
+      let changed =
+        List.filter (fun (n, il) -> List.assoc n before <> il) after
+        |> List.map fst
+      in
+      Alcotest.(check bool) "the edit changes some post-HLO IL, not all" true
+        (changed <> [] && List.length changed < 4);
+      ignore (Pipeline.compile ~cache:store Options.o4 (app ()));
+      let edited = Pipeline.compile ~cache:store Options.o4 (app ~kd:77 ()) in
+      let n = List.length changed in
+      check_code_counts "one-module edit" (4 - n, n) edited;
+      check_same_image "edit = uncached"
+        (image (Pipeline.compile Options.o4 (app ~kd:77 ())))
+        (image edited))
+
+let test_codegen_damaged_entry_degrades () =
+  with_store (fun store ->
+      let sources = app () in
+      let key name =
+        Pipeline.code_key ~layout:false
+          (List.assoc name (post_hlo_il Options.o4 sources))
+      in
+      let cold = Pipeline.compile ~cache:store Options.o4 sources in
+      let entry name =
+        match Store.peek store (key name) with
+        | Some bytes -> bytes
+        | None -> Alcotest.failf "no codegen entry for %s under its key" name
+      in
+      let warm = Pipeline.compile ~cache:store Options.o4 sources in
+      let good = entry "mod_a" in
+      List.iter
+        (fun (label, bytes) ->
+          Store.add store (key "mod_a") bytes;
+          let damaged = Pipeline.compile ~cache:store Options.o4 sources in
+          check_code_counts label (3, 1) damaged;
+          check_same_output (label ^ ": same as a hit") warm damaged;
+          check_same_image (label ^ ": same as cold") (image cold)
+            (image damaged);
+          (* The regenerated entry replaced the damaged one. *)
+          Alcotest.(check string) (label ^ ": entry repaired") good
+            (entry "mod_a"))
+        [
+          ("empty entry", "");
+          ("garbage", String.make 64 '\xff');
+          ("truncated", String.sub good 0 (String.length good / 2));
+          ("trailing bytes", good ^ "x");
+          ("another module's object", entry "mod_b");
+        ])
+
+let test_codegen_layout_never_shares () =
+  (* Without a profile, +P leaves the post-HLO IL of some module
+     unchanged, so only the layout flag in the key keeps the two
+     builds' entries apart. *)
+  let shared =
+    List.filter
+      (fun (n, il) -> List.assoc n (post_hlo_il Options.o4_pbo (app ())) = il)
+      (post_hlo_il Options.o4 (app ()))
+  in
+  Alcotest.(check bool) "some module's IL is the same under +P" true
+    (shared <> []);
+  with_store (fun store ->
+      let build options = Pipeline.compile ~cache:store options (app ()) in
+      check_code_counts "+O4 cold" (0, 4) (build Options.o4);
+      check_code_counts "+O4 +P after +O4" (0, 4) (build Options.o4_pbo);
+      check_code_counts "+O4 again" (4, 0) (build Options.o4);
+      check_code_counts "+O4 +P again" (4, 0) (build Options.o4_pbo))
 
 (* ---------- property: random edit histories never go stale ---------- *)
 
@@ -473,5 +624,9 @@ let suite =
     ("edit then revert", `Quick, test_edit_revert_full_hit);
     ("cache usage job-invariant", `Quick, test_cache_usage_job_invariant);
     ("buildsys warm build", `Quick, test_buildsys_warm_build_skips_hlo);
+    ("codegen warm rebuild", `Quick, test_codegen_warm_rebuild_replays_llo);
+    ("codegen edit misses", `Quick, test_codegen_edit_misses_changed_il_only);
+    ("codegen damaged entry", `Quick, test_codegen_damaged_entry_degrades);
+    ("codegen layout keys", `Quick, test_codegen_layout_never_shares);
     test_random_edits_never_stale;
   ]
