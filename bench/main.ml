@@ -9,7 +9,7 @@
    incremental incremental-smoke parallel parallel-smoke fuzz-smoke
    check-overhead trace-smoke fault-sweep fault-sweep-smoke storm
    storm-smoke dist dist-smoke pgo pgo-smoke canary canary-smoke
-   naim-scale naim-scale-smoke *)
+   naim-scale naim-scale-smoke llo-scale llo-scale-smoke *)
 
 module Genprog = Cmo_workload.Genprog
 module Suite = Cmo_workload.Suite
@@ -330,6 +330,77 @@ let naim_scale () = naim_scale_for ~pairs:40_000 ~repeats:5 ~gate:false
 let naim_scale_smoke () = naim_scale_for ~pairs:8_000 ~repeats:5 ~gate:true
 
 (* ------------------------------------------------------------------ *)
+(* LLO kernel scaling: list scheduling and register allocation of one
+   straight-line block of N and 8N instructions.  The block is a
+   chain of load/multiply/store triples over one base register, so
+   memory order bounds the ready width.  Testing every pair of
+   instructions for a dependence makes the 8N cost per instruction at
+   least 8x the N cost; with its edge dedup scanning successor lists,
+   the all-pairs scheduler measured about 140x here. *)
+(* ------------------------------------------------------------------ *)
+
+let llo_scale_vcode n =
+  let module Mach = Cmo_llo.Mach in
+  let module Isel = Cmo_llo.Isel in
+  let base = Mach.first_vreg and triples = n / 3 in
+  let body =
+    Mach.Lga (base, "g")
+    :: List.concat
+         (List.init triples (fun k ->
+              let loaded = base + 1 + (2 * k) in
+              [
+                Mach.Ld (loaded, base, k);
+                Mach.Opi (Cmo_il.Instr.Mul, loaded + 1, loaded, 3L);
+                Mach.St (loaded + 1, base, k);
+              ]))
+  in
+  {
+    Isel.vname = "scale";
+    vmodule = "m";
+    arity = 0;
+    ventry = 0;
+    vblocks = [ { Isel.vlabel = 0; body; vterm = Isel.Vret; vfreq = 1.0 } ];
+    next_vreg = base + 1 + (2 * triples);
+    max_outgoing = 0;
+    vsrc_lines = n;
+  }
+
+let llo_scale_for ~n ~repeats ~gate =
+  header "LLO kernel scaling: sched + regalloc cost per instruction vs block size";
+  Printf.printf "%8s | %8s | %14s\n" "instrs" "runs" "ns per instr";
+  let measure size =
+    (* The same instruction count per timing at both sizes. *)
+    let runs = 8 * n / size in
+    let best = ref infinity in
+    for _ = 1 to repeats do
+      let blocks = List.init runs (fun _ -> llo_scale_vcode size) in
+      let t0 = Unix.gettimeofday () in
+      List.iter
+        (fun vc ->
+          ignore (Cmo_llo.Sched.run vc);
+          ignore (Cmo_llo.Regalloc.run vc))
+        blocks;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    let per_instr = !best /. float_of_int (runs * size) in
+    Printf.printf "%8d | %8d | %14.1f\n%!" size runs (1e9 *. per_instr);
+    per_instr
+  in
+  let small = measure n in
+  let large = measure (8 * n) in
+  let ratio = large /. small in
+  Printf.printf "cost ratio %d/%d instructions: %.2fx (an all-pairs graph: >8x)\n"
+    (8 * n) n ratio;
+  if gate && ratio > 3.0 then begin
+    Printf.printf "llo-scale-smoke: FAIL (ratio %.2f > 3)\n" ratio;
+    exit 1
+  end
+
+let llo_scale () = llo_scale_for ~n:1_000 ~repeats:5 ~gate:false
+
+let llo_scale_smoke () = llo_scale_for ~n:300 ~repeats:5 ~gate:true
+
+(* ------------------------------------------------------------------ *)
 (* Figure 6: compile time and run time of Mcad1 as the selectivity
    percentage grows.  Run time should plateau once the hot ~20%% of
    the code is covered while compile time keeps climbing. *)
@@ -448,6 +519,14 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Cmo_hlo.Phase.optimize_func (Ilcodec.roundtrip_func some_func))))
   in
+  (* The whole per-routine LLO path (isel, sched, regalloc, peephole,
+     emit) on the same routine; sched and regalloc are its largest
+     stages. *)
+  let test_llo =
+    Test.make ~name:"llo.compile_func (sched+regalloc)"
+      (Staged.stage (fun () ->
+           ignore (Cmo_llo.Llo.compile_func ~module_name:"compress" some_func)))
+  in
   let image =
     (Pipeline.compile Options.o2 (sources_of cfg)).Pipeline.image
   in
@@ -473,7 +552,7 @@ let micro () =
         | Some _ | None -> Printf.printf "%-44s (no estimate)\n%!" name)
       results
   in
-  List.iter benchmark [ test_compact; test_uncompact; test_phase; test_vm ]
+  List.iter benchmark [ test_compact; test_uncompact; test_phase; test_llo; test_vm ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations for the design choices DESIGN.md calls out: how much of
@@ -2000,7 +2079,8 @@ let all = [ "fig1", fig1; "fig4", fig4; "fig5", fig5; "fig6", fig6;
             "dist", dist; "dist-smoke", dist_smoke;
             "pgo", pgo; "pgo-smoke", pgo_smoke;
             "canary", canary; "canary-smoke", canary_smoke;
-            "naim-scale", naim_scale; "naim-scale-smoke", naim_scale_smoke ]
+            "naim-scale", naim_scale; "naim-scale-smoke", naim_scale_smoke;
+            "llo-scale", llo_scale; "llo-scale-smoke", llo_scale_smoke ]
 
 let () =
   let requested =

@@ -53,7 +53,10 @@
 # oracle byte for byte before the workers are torn down.  The NAIM
 # loader's scaling smoke registers 1k, 4k and 16k routines under
 # forced offloading and fails if an acquire/release pair costs more
-# than 4x as much at 16k as at 1k.  Run from the repository root.
+# than 4x as much at 16k as at 1k, and the LLO kernels' scaling smoke
+# schedules and allocates one straight-line block of 300 and 2400
+# instructions and fails if the cost per instruction grows more than
+# 3x.  Run from the repository root.
 set -eu
 
 echo "== dune build =="
@@ -88,6 +91,9 @@ dune exec bench/main.exe -- canary-smoke
 
 echo "== NAIM loader scaling smoke (cost per pair, 16k vs 1k routines) =="
 dune exec bench/main.exe -- naim-scale-smoke
+
+echo "== LLO kernel scaling smoke (sched + regalloc per instruction, 8N vs N) =="
+dune exec bench/main.exe -- llo-scale-smoke
 
 echo "== fault suite (fixed seed) =="
 CMO_JOBS=1 CMO_FUZZ_SEED=1 dune exec test/test_main.exe -- test fault

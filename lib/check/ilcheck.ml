@@ -50,30 +50,7 @@ let pp_violation ppf v =
       | None -> ())
     v.message
 
-(* Must-defined sets as byte-array bitsets; register counts are small
-   but routinely exceed the word size after inlining. *)
-module Bits = struct
-  let create n = Bytes.make ((n + 8) / 8) '\x00'
-  let copy = Bytes.copy
-  let equal = Bytes.equal
-  let mem t r = Char.code (Bytes.get t (r lsr 3)) land (1 lsl (r land 7)) <> 0
-
-  let add t r =
-    Bytes.set t (r lsr 3)
-      (Char.chr (Char.code (Bytes.get t (r lsr 3)) lor (1 lsl (r land 7))))
-
-  (* a <- a ∩ b *)
-  let inter a b =
-    for i = 0 to Bytes.length a - 1 do
-      Bytes.set a i
-        (Char.chr (Char.code (Bytes.get a i) land Char.code (Bytes.get b i)))
-    done
-
-  let full n =
-    let t = create n in
-    for r = 0 to n - 1 do add t r done;
-    t
-end
+module Bits = Cmo_support.Bitset
 
 let check_func ?env ~phase (f : Func.t) =
   let issues = ref [] in
@@ -185,7 +162,9 @@ let check_func ?env ~phase (f : Func.t) =
         f.Func.blocks;
       let defs_of (b : Func.block) from =
         let acc = Bits.copy from in
-        List.iter (fun i -> Option.iter (Bits.add acc) (Instr.def i)) b.Func.instrs;
+        List.iter
+          (fun i -> Option.iter (fun d -> if d >= 0 && d < nregs then Bits.add acc d) (Instr.def i))
+          b.Func.instrs;
         acc
       in
       let entry_in = Bits.create nregs in
@@ -216,19 +195,22 @@ let check_func ?env ~phase (f : Func.t) =
                 in
                 (* A reachable non-entry block has at least one
                    reachable predecessor by construction. *)
-                let acc = Bits.full nregs in
+                let acc = Bits.create nregs in
+                for r = 0 to nregs - 1 do
+                  Bits.add acc r
+                done;
                 List.iter
                   (fun p ->
                     match Hashtbl.find_opt in_sets p with
                     | Some in_p ->
-                      Bits.inter acc (defs_of (Hashtbl.find block_tbl p) in_p)
+                      Bits.inter_into acc (defs_of (Hashtbl.find block_tbl p) in_p)
                     | None -> ())
                   reach_preds;
                 acc
               end
             in
             match Hashtbl.find_opt in_sets b.Func.label with
-            | Some old when Bits.equal old in_b -> ()
+            | Some old when old = in_b -> ()
             | _ ->
               Hashtbl.replace in_sets b.Func.label in_b;
               changed := true)

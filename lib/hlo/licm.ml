@@ -57,7 +57,7 @@ let process_loop (f : Func.t) (loop : Loopinfo.loop) =
       loop_blocks
   in
   let live_at_exit r =
-    List.exists (fun t -> List.mem r (Liveness.live_in live t)) exit_targets
+    List.exists (fun t -> Liveness.live_in_mem live t r) exit_targets
   in
   let counts = def_counts f in
   let loop_defs = defs_in_loop f in_loop in

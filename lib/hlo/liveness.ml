@@ -1,106 +1,66 @@
 module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
-
-(* Register sets as Bytes bitmaps: next_reg is typically small and
-   dense, and bitmaps make the transfer function cheap. *)
-module Bitset = struct
-  type t = Bytes.t
-
-  let create n = Bytes.make ((n / 8) + 1) '\000'
-
-  let mem t r = Char.code (Bytes.get t (r / 8)) land (1 lsl (r mod 8)) <> 0
-
-  let add t r =
-    Bytes.set t (r / 8)
-      (Char.chr (Char.code (Bytes.get t (r / 8)) lor (1 lsl (r mod 8))))
-
-  let remove t r =
-    Bytes.set t (r / 8)
-      (Char.chr (Char.code (Bytes.get t (r / 8)) land lnot (1 lsl (r mod 8)) land 0xff))
-
-  let union_into ~into src =
-    let changed = ref false in
-    for i = 0 to Bytes.length into - 1 do
-      let a = Char.code (Bytes.get into i) and b = Char.code (Bytes.get src i) in
-      let c = a lor b in
-      if c <> a then begin
-        Bytes.set into i (Char.chr c);
-        changed := true
-      end
-    done;
-    !changed
-
-  let copy = Bytes.copy
-
-  let elements t n =
-    let out = ref [] in
-    for r = n - 1 downto 0 do
-      if mem t r then out := r :: !out
-    done;
-    !out
-end
+module Bitset = Cmo_support.Bitset
 
 type t = {
   nregs : int;
-  live_in : (Instr.label, Bitset.t) Hashtbl.t;
-  live_out : (Instr.label, Bitset.t) Hashtbl.t;
+  index : (Instr.label, int) Hashtbl.t;  (* label -> layout position *)
+  live_in : Bitset.t array;
+  live_out : Bitset.t array;
 }
-
-let block_transfer nregs (b : Func.block) live_out =
-  (* live_in = (live_out - defs) + uses, walking instructions
-     backward. *)
-  let live = Bitset.copy live_out in
-  List.iter (fun r -> Bitset.add live r) (Instr.term_uses b.Func.term);
-  List.iter
-    (fun i ->
-      Option.iter (fun d -> Bitset.remove live d) (Instr.def i);
-      List.iter (fun u -> Bitset.add live u) (Instr.uses i))
-    (List.rev b.Func.instrs);
-  ignore nregs;
-  live
 
 let compute (f : Func.t) =
   let nregs = f.Func.next_reg in
-  let live_in = Hashtbl.create 16 in
-  let live_out = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Func.block) ->
-      Hashtbl.replace live_in b.Func.label (Bitset.create nregs);
-      Hashtbl.replace live_out b.Func.label (Bitset.create nregs))
-    f.Func.blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* Backward: iterate blocks in reverse layout order. *)
-    List.iter
+  let blocks = Array.of_list f.Func.blocks in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun k (b : Func.block) -> Hashtbl.replace index b.Func.label k) blocks;
+  (* Per block, gen (read before written) and kill (written), walking
+     instructions backward from the terminator. *)
+  let gen = Array.map (fun _ -> Bitset.create nregs) blocks in
+  let kill = Array.map (fun _ -> Bitset.create nregs) blocks in
+  Array.iteri
+    (fun k (b : Func.block) ->
+      List.iter (Bitset.add gen.(k)) (Instr.term_uses b.Func.term);
+      List.iter
+        (fun i ->
+          Option.iter
+            (fun d ->
+              Bitset.remove gen.(k) d;
+              Bitset.add kill.(k) d)
+            (Instr.def i);
+          List.iter (Bitset.add gen.(k)) (Instr.uses i))
+        (List.rev b.Func.instrs))
+    blocks;
+  let succs =
+    Array.map
       (fun (b : Func.block) ->
-        let out = Hashtbl.find live_out b.Func.label in
-        List.iter
-          (fun succ ->
-            match Hashtbl.find_opt live_in succ with
-            | Some succ_in -> if Bitset.union_into ~into:out succ_in then changed := true
-            | None -> ())
-          (Instr.targets b.Func.term);
-        let new_in = block_transfer nregs b out in
-        let old_in = Hashtbl.find live_in b.Func.label in
-        if Bitset.union_into ~into:old_in new_in then changed := true)
-      (List.rev f.Func.blocks)
-  done;
-  { nregs; live_in; live_out }
+        List.filter_map (Hashtbl.find_opt index) (Instr.targets b.Func.term))
+      blocks
+  in
+  let live_in, live_out = Bitset.backward ~gen ~kill ~succs in
+  { nregs; index; live_in; live_out }
 
-let live_out t label =
-  match Hashtbl.find_opt t.live_out label with
-  | Some s -> Bitset.elements s t.nregs
+let elements_of sets t label =
+  match Hashtbl.find_opt t.index label with
+  | Some k -> List.filter (fun r -> r < t.nregs) (Bitset.elements sets.(k))
   | None -> []
 
-let live_in t label =
-  match Hashtbl.find_opt t.live_in label with
-  | Some s -> Bitset.elements s t.nregs
-  | None -> []
+let live_out t = elements_of t.live_out t
 
-let live_out_mem t label r =
-  match Hashtbl.find_opt t.live_out label with
-  | Some s -> r < t.nregs && Bitset.mem s r
+let live_in t = elements_of t.live_in t
+
+let mem_of sets t label r =
+  match Hashtbl.find_opt t.index label with
+  | Some k -> r < t.nregs && Bitset.mem sets.(k) r
   | None -> false
 
-let modeled_bytes t = 64 + (2 * Hashtbl.length t.live_in * ((t.nregs / 8) + 16))
+let live_out_mem t = mem_of t.live_out t
+
+let live_in_mem t = mem_of t.live_in t
+
+let bytes_for ~blocks ~nregs = 64 + (2 * blocks * ((nregs / 8) + 16))
+
+let modeled_bytes t = bytes_for ~blocks:(Hashtbl.length t.index) ~nregs:t.nregs
+
+let modeled_bytes_of (f : Func.t) =
+  bytes_for ~blocks:(List.length f.Func.blocks) ~nregs:f.Func.next_reg

@@ -15,4 +15,11 @@ val live_in : t -> Cmo_il.Instr.label -> Cmo_il.Instr.reg list
 
 val live_out_mem : t -> Cmo_il.Instr.label -> Cmo_il.Instr.reg -> bool
 
+val live_in_mem : t -> Cmo_il.Instr.label -> Cmo_il.Instr.reg -> bool
+
 val modeled_bytes : t -> int
+(** Modeled footprint for the Derived memory category. *)
+
+val modeled_bytes_of : Cmo_il.Func.t -> int
+(** [modeled_bytes (compute f)] from the block and register counts
+    alone, without running the dataflow (block labels are unique). *)

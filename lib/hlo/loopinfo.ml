@@ -12,8 +12,8 @@ type t = {
   innermost : (Instr.label, loop) Hashtbl.t;
 }
 
-let compute (f : Func.t) =
-  let doms = Dominators.compute f in
+let compute ?doms (f : Func.t) =
+  let doms = match doms with Some d -> d | None -> Dominators.compute f in
   let preds = Func.predecessors f in
   let reachable = Func.reachable f in
   (* Collect back edges grouped by header. *)

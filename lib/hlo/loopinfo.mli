@@ -14,7 +14,9 @@ type loop = {
 
 type t
 
-val compute : Cmo_il.Func.t -> t
+val compute : ?doms:Dominators.t -> Cmo_il.Func.t -> t
+(** [doms], when given, must be [Dominators.compute] of the same
+    function in its current state; it is computed otherwise. *)
 
 val loops : t -> loop list
 (** Outermost first, then by header label. *)

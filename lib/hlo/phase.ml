@@ -63,13 +63,13 @@ let optimize_func ?mem ?(budget = unlimited ()) ?(max_rounds = 4) ?check
     | None -> fun () -> ()
     | Some mem ->
       (* Model the transient analysis footprint: dominators + liveness
-         + loop info for this routine. *)
+         + loop info for this routine.  Liveness is priced from its
+         shape alone, without running the dataflow. *)
       let doms = Dominators.compute f in
-      let live = Liveness.compute f in
-      let loops = Loopinfo.compute f in
+      let loops = Loopinfo.compute ~doms f in
       let bytes =
         Dominators.modeled_bytes doms
-        + Liveness.modeled_bytes live
+        + Liveness.modeled_bytes_of f
         + Loopinfo.modeled_bytes loops
       in
       Memstats.charge mem Memstats.Derived bytes;

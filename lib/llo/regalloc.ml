@@ -1,3 +1,5 @@
+module Bitset = Cmo_support.Bitset
+
 type result = {
   vcode : Isel.vcode;
   spill_slots : int;
@@ -18,56 +20,40 @@ let successors = function
   | Isel.Vbr (_, a, b) -> [ a; b ]
   | Isel.Vret -> []
 
+(* Per-block live-in/live-out sets of virtual registers (bit [k]
+   stands for [first_vreg + k]), indexed by layout position.  Each
+   block is summarized once as gen/kill, walking back from the
+   terminator. *)
 let block_liveness (vc : Isel.vcode) =
-  let live_in : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let live_out : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Isel.vblock) ->
-      Hashtbl.replace live_in b.Isel.vlabel (Hashtbl.create 8);
-      Hashtbl.replace live_out b.Isel.vlabel (Hashtbl.create 8))
-    vc.Isel.vblocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
+  let nv = vc.Isel.next_vreg - Mach.first_vreg in
+  let blocks = Array.of_list vc.Isel.vblocks in
+  let index = Hashtbl.create (Array.length blocks) in
+  Array.iteri (fun k (b : Isel.vblock) -> Hashtbl.replace index b.Isel.vlabel k) blocks;
+  let gen = Array.map (fun _ -> Bitset.create nv) blocks in
+  let kill = Array.map (fun _ -> Bitset.create nv) blocks in
+  Array.iteri
+    (fun k (b : Isel.vblock) ->
+      let bit r = r - Mach.first_vreg in
+      List.iter (fun u -> Bitset.add gen.(k) (bit u)) (term_uses b.Isel.vterm);
+      List.iter
+        (fun i ->
+          List.iter
+            (fun d ->
+              if is_vreg d then begin
+                Bitset.remove gen.(k) (bit d);
+                Bitset.add kill.(k) (bit d)
+              end)
+            (Mach.defs i);
+          List.iter (fun u -> if is_vreg u then Bitset.add gen.(k) (bit u)) (Mach.uses i))
+        (List.rev b.Isel.body))
+    blocks;
+  let succs =
+    Array.map
       (fun (b : Isel.vblock) ->
-        let out = Hashtbl.find live_out b.Isel.vlabel in
-        List.iter
-          (fun succ ->
-            match Hashtbl.find_opt live_in succ with
-            | Some succ_in ->
-              Hashtbl.iter
-                (fun v () ->
-                  if not (Hashtbl.mem out v) then begin
-                    Hashtbl.replace out v ();
-                    changed := true
-                  end)
-                succ_in
-            | None -> ())
-          (successors b.Isel.vterm);
-        (* in = (out - defs) + uses, backward *)
-        let live = Hashtbl.copy out in
-        List.iter (fun v -> Hashtbl.replace live v ()) (term_uses b.Isel.vterm);
-        List.iter
-          (fun i ->
-            List.iter
-              (fun d -> if is_vreg d then Hashtbl.remove live d)
-              (Mach.defs i);
-            List.iter
-              (fun u -> if is_vreg u then Hashtbl.replace live u ())
-              (Mach.uses i))
-          (List.rev b.Isel.body);
-        let in_ = Hashtbl.find live_in b.Isel.vlabel in
-        Hashtbl.iter
-          (fun v () ->
-            if not (Hashtbl.mem in_ v) then begin
-              Hashtbl.replace in_ v ();
-              changed := true
-            end)
-          live)
-      (List.rev vc.Isel.vblocks)
-  done;
-  (live_in, live_out)
+        List.filter_map (Hashtbl.find_opt index) (successors b.Isel.vterm))
+      blocks
+  in
+  Bitset.backward ~gen ~kill ~succs
 
 (* --- intervals --- *)
 
@@ -85,19 +71,20 @@ type interval = {
 
 let compute_intervals (vc : Isel.vcode) =
   let live_in, live_out = block_liveness vc in
-  let intervals : (int, interval) Hashtbl.t = Hashtbl.create 64 in
+  let intervals = Array.make (vc.Isel.next_vreg - Mach.first_vreg) None in
   let touch v pos w =
-    match Hashtbl.find_opt intervals v with
+    match intervals.(v - Mach.first_vreg) with
     | Some itv ->
       if pos < itv.lo then itv.lo <- pos;
       if pos > itv.hi then itv.hi <- pos;
       itv.weight <- itv.weight +. w
-    | None -> Hashtbl.replace intervals v { vreg = v; lo = pos; hi = pos; weight = w }
+    | None ->
+      intervals.(v - Mach.first_vreg) <- Some { vreg = v; lo = pos; hi = pos; weight = w }
   in
-  let extend v pos = touch v pos 0.0 in
+  let extend pos k = touch (Mach.first_vreg + k) pos 0.0 in
   let pos = ref 0 in
-  List.iter
-    (fun (b : Isel.vblock) ->
+  List.iteri
+    (fun k (b : Isel.vblock) ->
       let block_start = !pos in
       let w = Float.max 1.0 b.Isel.vfreq in
       List.iter
@@ -108,17 +95,16 @@ let compute_intervals (vc : Isel.vcode) =
         b.Isel.body;
       List.iter (fun u -> touch u !pos w) (term_uses b.Isel.vterm);
       incr pos;
-      let block_end = !pos - 1 in
-      Hashtbl.iter
-        (fun v () -> extend v block_start)
-        (Hashtbl.find live_in b.Isel.vlabel);
-      Hashtbl.iter
-        (fun v () -> extend v block_end)
-        (Hashtbl.find live_out b.Isel.vlabel))
+      Bitset.iter (extend block_start) live_in.(k);
+      Bitset.iter (extend (!pos - 1)) live_out.(k))
     vc.Isel.vblocks;
-  Hashtbl.fold (fun _ itv acc -> itv :: acc) intervals []
+  Array.fold_right (fun o acc -> Option.fold ~none:acc ~some:(fun itv -> itv :: acc) o)
+    intervals []
   |> List.sort (fun a b ->
          match compare a.lo b.lo with 0 -> compare a.vreg b.vreg | c -> c)
+
+let live_intervals vc =
+  List.map (fun itv -> (itv.vreg, itv.lo, itv.hi)) (compute_intervals vc)
 
 (* --- linear scan --- *)
 
@@ -200,9 +186,19 @@ let rewrite (vc : Isel.vcode) assignment =
   let lookup v =
     if is_vreg v then Hashtbl.find_opt assignment v else Some (Phys v)
   in
-  let used = Hashtbl.create 20 in
-  let note_phys r = if List.mem r Mach.allocatable then Hashtbl.replace used r () in
-  let rewrite_instr i =
+  let used = Array.make Mach.first_vreg false in
+  let allocatable = Array.make Mach.first_vreg false in
+  List.iter (fun r -> allocatable.(r) <- true) Mach.allocatable;
+  let note_phys r = if allocatable.(r) then used.(r) <- true in
+  let phys r =
+    match lookup r with
+    | Some (Phys p) ->
+      note_phys p;
+      p
+    | Some (Slot _) | None -> r
+  in
+  let spilled r = match lookup r with Some (Slot _) -> true | Some (Phys _) | None -> false in
+  let rewrite_spilled i =
     (* Map spilled uses through scratch registers, spilled defs
        through scratch 3. *)
     let loads = ref [] in
@@ -234,14 +230,7 @@ let rewrite (vc : Isel.vcode) assignment =
         | Some (Phys _) | None -> ())
       (Mach.defs i);
     let map_with table r =
-      match Hashtbl.find_opt table r with
-      | Some scratch -> scratch
-      | None -> (
-        match lookup r with
-        | Some (Phys p) ->
-          note_phys p;
-          p
-        | Some (Slot _) | None -> r)
+      match Hashtbl.find_opt table r with Some scratch -> scratch | None -> phys r
     in
     (* Sources map through the use scratch, the destination through
        the def scratch: a register both read and written (e.g.
@@ -250,6 +239,11 @@ let rewrite (vc : Isel.vcode) assignment =
     List.rev !loads
     @ [ Mach.map_defs_uses ~fdef:(map_with def_map) ~fuse:(map_with use_map) i ]
     @ List.rev !stores
+  in
+  let rewrite_instr i =
+    if List.exists spilled (Mach.uses i) || List.exists spilled (Mach.defs i) then
+      rewrite_spilled i
+    else [ Mach.map_defs_uses ~fdef:phys ~fuse:phys i ]
   in
   List.iter
     (fun (b : Isel.vblock) ->
@@ -278,7 +272,5 @@ let run vc =
       assignment 0
   in
   let used = rewrite vc assignment in
-  let used_callee_saved =
-    List.filter (fun r -> Hashtbl.mem used r) Mach.allocatable
-  in
+  let used_callee_saved = List.filter (fun r -> used.(r)) Mach.allocatable in
   { vcode = vc; spill_slots = slots; used_callee_saved; spilled_vregs = spilled }

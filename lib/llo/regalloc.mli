@@ -16,7 +16,16 @@
     Intervals are computed from machine-level liveness over the block
     layout order, conservatively covering lifetime holes — the classic
     Poletto–Sarkar formulation, which is what a 1990s production
-    low-level optimizer's allocator approximates at this altitude. *)
+    low-level optimizer's allocator approximates at this altitude.
+
+    Liveness sets are int-array bitmaps over the virtual registers
+    [\[first_vreg, next_vreg)] (every virtual register of the vcode
+    must lie there).  Each block is summarized once as gen (registers
+    read before being written, walking back from the terminator) and
+    kill (registers written); the backward fixpoint then computes
+    [in = gen + (out - kill)] with word operations only.
+    Instructions without a spilled operand are rewritten in place of
+    their registers, with no per-instruction tables. *)
 
 type result = {
   vcode : Isel.vcode;  (** Same value, rewritten in place: physical registers only. *)
@@ -28,3 +37,9 @@ type result = {
 }
 
 val run : Isel.vcode -> result
+
+val live_intervals : Isel.vcode -> (Mach.reg * int * int) list
+(** [(vreg, lo, hi)] for every virtual register, in the order {!run}
+    allocates them (by [lo], then register): positions count the
+    body instructions and terminator of each block in layout order.
+    Does not modify the vcode. *)

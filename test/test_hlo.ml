@@ -1390,6 +1390,146 @@ let test_phase_charges_derived_memory () =
     (Memstats.resident_of mem Memstats.Derived);
   Alcotest.(check bool) "derived was charged" true (Memstats.peak mem > 0)
 
+(* Liveness by walking every instruction backward at each fixpoint
+   step, the way it was computed before gen/kill summaries:
+   [(label, live_in, live_out)] per block. *)
+let reference_liveness (f : Func.t) =
+  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
+  let get t l = Option.value ~default:[] (Hashtbl.find_opt t l) in
+  let union a b = List.sort_uniq compare (a @ b) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (b : Func.block) ->
+        let l = b.Func.label in
+        let out =
+          List.fold_left (fun acc s -> union acc (get live_in s)) (get live_out l)
+            (Instr.targets b.Func.term)
+        in
+        let in_ =
+          List.fold_left
+            (fun live i ->
+              let live = List.filter (fun r -> Some r <> Instr.def i) live in
+              union live (Instr.uses i))
+            (union out (Instr.term_uses b.Func.term))
+            (List.rev b.Func.instrs)
+        in
+        let in_ = union in_ (get live_in l) in
+        if out <> get live_out l || in_ <> get live_in l then changed := true;
+        Hashtbl.replace live_out l out;
+        Hashtbl.replace live_in l in_)
+      (List.rev f.Func.blocks)
+  done;
+  List.map (fun (b : Func.block) -> (b.Func.label, get live_in b.Func.label, get live_out b.Func.label))
+    f.Func.blocks
+
+(* Every routine of li and mcad1, at the start of optimization and
+   after every pass that changed it: liveness equals the
+   per-instruction reference, the derived charge's liveness price
+   from counts equals the price of the computed analysis, and loop
+   discovery over passed-in dominators equals its own. *)
+let test_phase_derived_priced_from_counts () =
+  let agree ~phase (f : Func.t) =
+    let live = Liveness.compute f in
+    let computed =
+      List.map
+        (fun (b : Func.block) ->
+          (b.Func.label, Liveness.live_in live b.Func.label, Liveness.live_out live b.Func.label))
+        f.Func.blocks
+    in
+    if computed <> reference_liveness f then
+      Alcotest.failf "%s after %s: liveness differs from the reference" f.Func.name phase;
+    if Liveness.modeled_bytes_of f <> Liveness.modeled_bytes live then
+      Alcotest.failf "%s after %s: liveness bytes %d from counts, %d computed"
+        f.Func.name phase (Liveness.modeled_bytes_of f) (Liveness.modeled_bytes live);
+    let doms = Dominators.compute f in
+    if Loopinfo.loops (Loopinfo.compute ~doms f) <> Loopinfo.loops (Loopinfo.compute f)
+    then Alcotest.failf "%s after %s: loops differ with given dominators" f.Func.name phase
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun name ->
+      Cmo_driver.Pipeline.frontend
+        (List.map
+           (fun (name, text) -> { Cmo_driver.Pipeline.name; text })
+           (Cmo_workload.Genprog.generate (Cmo_workload.Suite.find name)))
+      |> List.iter (fun (m : Ilmod.t) ->
+             List.iter
+               (fun f ->
+                 agree ~phase:"frontend" f;
+                 ignore (Phase.optimize_func ~check:agree f);
+                 incr checked)
+               m.Ilmod.funcs))
+    [ "li"; "mcad1" ];
+  Alcotest.(check bool) "routines checked" true (!checked > 1000)
+
+let test_liveness_live_in_mem () =
+  let src =
+    "func main() { var i = 0; var s = 0; while (i < 9) { if (i & 1) { s = s + i; } i = i + 1; } return s; }"
+  in
+  let f = find_func (compile src) "main" in
+  let live = Liveness.compute f in
+  List.iter
+    (fun (b : Func.block) ->
+      for r = 0 to f.Func.next_reg + 2 do
+        Alcotest.(check bool)
+          (Printf.sprintf "L%d r%d" b.Func.label r)
+          (List.mem r (Liveness.live_in live b.Func.label))
+          (Liveness.live_in_mem live b.Func.label r)
+      done)
+    f.Func.blocks;
+  Alcotest.(check bool) "unknown label" false (Liveness.live_in_mem live (-1) 0)
+
+(* Peak modeled memory of every Suite program at O4 and O4+P, as
+   recorded while the derived charge still ran liveness to price it:
+   the Figure 4/5 series must not move when only the pricing
+   changes. *)
+let suite_mem_peaks =
+  [
+    ("go", (3308387, 2630891));
+    ("m88ksim", (1897905, 1349505));
+    ("gcc", (19523970, 13242738));
+    ("compress", (745703, 526239));
+    ("li", (1962292, 1274932));
+    ("ijpeg", (2515367, 1706231));
+    ("perl", (7656151, 4929103));
+    ("vortex", (8319536, 5716448));
+    ("mcad1", (76711854, 49904214));
+    ("mcad2", (53378418, 36116226));
+    ("mcad3", (84877266, 65811810));
+  ]
+
+let test_suite_mem_peaks_unchanged () =
+  let module Pipeline = Cmo_driver.Pipeline in
+  let module Options = Cmo_driver.Options in
+  let module Genprog = Cmo_workload.Genprog in
+  (* The figures' series are the plain sequential oracle's: with
+     several HLO workers the peak depends on how routines overlap, and
+     the between-phase verifier adds its own transient charge. *)
+  let sequential options = { options with Options.jobs = 1; check = false } in
+  Alcotest.(check (list string)) "every Suite program"
+    (List.map fst Cmo_workload.Suite.all) (List.map fst suite_mem_peaks);
+  List.iter
+    (fun (name, (o4, o4p)) ->
+      let cfg = Cmo_workload.Suite.find name in
+      let sources =
+        List.map (fun (name, text) -> { Pipeline.name; text }) (Genprog.generate cfg)
+      in
+      let profile = Pipeline.train ~inputs:[ Genprog.training_input cfg ] sources in
+      List.iter
+        (fun (label, expected, build) ->
+          let r = build.Pipeline.report in
+          Alcotest.(check int) (name ^ " " ^ label ^ " mem_peak") expected r.Pipeline.mem_peak;
+          Alcotest.(check int) (name ^ " " ^ label ^ " mem_peak_hlo") expected
+            r.Pipeline.mem_peak_hlo)
+        [
+          ("O4", o4, Pipeline.compile (sequential Options.o4) sources);
+          ("O4+P", o4p, Pipeline.compile ~profile (sequential Options.o4_pbo) sources);
+        ])
+    suite_mem_peaks
+
+
 let test_hlo_o4_end_to_end () =
   let modules = Helpers.compile_all two_module_sources in
   let original = List.map snapshot modules in
@@ -1512,6 +1652,9 @@ let suite =
     ("phase fixpoint", `Quick, test_phase_fixpoint_and_budget);
     ("phase zero budget", `Quick, test_phase_budget_limits);
     ("phase derived memory", `Quick, test_phase_charges_derived_memory);
+    ("phase derived priced from counts", `Quick, test_phase_derived_priced_from_counts);
+    ("liveness live_in_mem", `Quick, test_liveness_live_in_mem);
+    ("suite mem peaks unchanged", `Slow, test_suite_mem_peaks_unchanged);
     ("hlo o4 end to end", `Quick, test_hlo_o4_end_to_end);
     ("hlo o4 beats o2", `Quick, test_hlo_o4_faster_than_o2);
     ("hlo fine selectivity", `Quick, test_hlo_fine_selectivity_skips_cold);

@@ -597,6 +597,281 @@ let test_sched_barriers_hold_call_order () =
            |} );
        ])
 
+(* ---------- linear-time kernels against their quadratic references ---------- *)
+
+let ref_is_barrier = function
+  | Mach.Call_sym _ | Mach.Call_abs _ | Mach.Sys _ | Mach.Cnt _ | Mach.Adjsp _
+  | Mach.B _ | Mach.Bz _ | Mach.Bnz _ | Mach.Ret | Mach.Halt -> true
+  | Mach.Li _ | Mach.Mv _ | Mach.Op _ | Mach.Opi _ | Mach.Un _ | Mach.Ld _
+  | Mach.St _ | Mach.Lga _ -> false
+
+let ref_is_load = function Mach.Ld _ -> true | _ -> false
+
+let ref_is_store = function Mach.St _ -> true | _ -> false
+
+(* The scheduler as it was before the dependence graph came from last
+   writers: every pair of a segment is tested, and the ready set is
+   rescanned from scratch at each step. *)
+let ref_schedule_segment instrs =
+  let n = Array.length instrs in
+  if n <= 2 then (Array.to_list instrs, 0)
+  else begin
+    let succs = Array.make n [] in
+    let preds_count = Array.make n 0 in
+    let edge i j =
+      if not (List.mem j succs.(i)) then begin
+        succs.(i) <- j :: succs.(i);
+        preds_count.(j) <- preds_count.(j) + 1
+      end
+    in
+    for j = 0 to n - 1 do
+      let uses_j = Mach.uses instrs.(j) and defs_j = Mach.defs instrs.(j) in
+      for i = 0 to j - 1 do
+        let defs_i = Mach.defs instrs.(i) and uses_i = Mach.uses instrs.(i) in
+        let raw = List.exists (fun d -> List.mem d uses_j) defs_i in
+        let war = List.exists (fun d -> List.mem d uses_i) defs_j in
+        let waw = List.exists (fun d -> List.mem d defs_j) defs_i in
+        let mem_order =
+          (ref_is_store instrs.(i) && (ref_is_store instrs.(j) || ref_is_load instrs.(j)))
+          || (ref_is_load instrs.(i) && ref_is_store instrs.(j))
+        in
+        if raw || war || waw || mem_order then edge i j
+      done
+    done;
+    let height = Array.make n 1 in
+    for i = n - 1 downto 0 do
+      let weight = if ref_is_load instrs.(i) then 2 else 1 in
+      height.(i) <- weight + List.fold_left (fun acc j -> max acc height.(j)) 0 succs.(i)
+    done;
+    let scheduled = ref [] and emitted = Array.make n false in
+    let last_load_dst = ref (-1) and moved = ref 0 and next_orig = ref 0 in
+    for _ = 1 to n do
+      let ready = ref [] in
+      for i = n - 1 downto 0 do
+        if (not emitted.(i)) && preds_count.(i) = 0 then ready := i :: !ready
+      done;
+      let stalls i =
+        !last_load_dst >= 0 && List.mem !last_load_dst (Mach.uses instrs.(i))
+      in
+      let better a b =
+        match (stalls a, stalls b) with
+        | false, true -> true
+        | true, false -> false
+        | _ -> if height.(a) <> height.(b) then height.(a) > height.(b) else a < b
+      in
+      let pick =
+        match !ready with
+        | [] -> assert false
+        | first :: rest ->
+          List.fold_left (fun best i -> if better i best then i else best) first rest
+      in
+      emitted.(pick) <- true;
+      List.iter (fun j -> preds_count.(j) <- preds_count.(j) - 1) succs.(pick);
+      scheduled := instrs.(pick) :: !scheduled;
+      last_load_dst := (match instrs.(pick) with Mach.Ld (d, _, _) -> d | _ -> -1);
+      if pick <> !next_orig then incr moved;
+      while !next_orig < n && emitted.(!next_orig) do
+        incr next_orig
+      done
+    done;
+    (List.rev !scheduled, !moved)
+  end
+
+(* One block through the reference: split at barriers, schedule each
+   segment. *)
+let ref_schedule_block body =
+  let out = ref [] and segment = ref [] and moved = ref 0 in
+  let flush () =
+    let ordered, m = ref_schedule_segment (Array.of_list (List.rev !segment)) in
+    moved := !moved + m;
+    out := List.rev_append ordered !out;
+    segment := []
+  in
+  List.iter
+    (fun i ->
+      if ref_is_barrier i then begin
+        flush ();
+        out := i :: !out
+      end
+      else segment := i :: !segment)
+    body;
+  flush ();
+  (List.rev !out, !moved)
+
+let one_block_vcode body =
+  {
+    Isel.vname = "f";
+    vmodule = "m";
+    arity = 0;
+    ventry = 0;
+    vblocks = [ { Isel.vlabel = 0; body; vterm = Isel.Vret; vfreq = 0.0 } ];
+    next_vreg = Mach.first_vreg + 6;
+    max_outgoing = 0;
+    vsrc_lines = 1;
+  }
+
+(* Random straight-line vcode over a small register pool, so registers
+   are reused, read and written by one instruction, and include
+   [reg_zero] and ABI registers; loads, stores and barriers mix. *)
+let vcode_body_gen =
+  let open QCheck.Gen in
+  let reg =
+    oneof
+      [
+        return Mach.reg_zero;
+        return Mach.reg_rv;
+        return (Mach.reg_arg 0);
+        map (fun k -> Mach.first_vreg + k) (int_bound 5);
+      ]
+  in
+  let off = int_bound 3 in
+  let instr =
+    frequency
+      [
+        (2, map2 (fun d k -> Mach.Li (d, Int64.of_int k)) reg small_nat);
+        (2, map2 (fun d s -> Mach.Mv (d, s)) reg reg);
+        (3, map3 (fun d a b -> Mach.Op (Cmo_il.Instr.Add, d, a, b)) reg reg reg);
+        (2, map2 (fun d s -> Mach.Opi (Cmo_il.Instr.Mul, d, s, 3L)) reg reg);
+        (1, map2 (fun d s -> Mach.Un (Cmo_il.Instr.Neg, d, s)) reg reg);
+        (4, map3 (fun d b o -> Mach.Ld (d, b, o)) reg reg off);
+        (3, map3 (fun v b o -> Mach.St (v, b, o)) reg reg off);
+        (1, map (fun d -> Mach.Lga (d, "g")) reg);
+        ( 1,
+          oneofl
+            [ Mach.Call_sym "h"; Mach.Sys Mach.Sys_print; Mach.Cnt 0; Mach.Adjsp (-1) ] );
+      ]
+  in
+  list_size (int_bound 40) instr
+
+let test_sched_matches_all_pairs =
+  QCheck.Test.make ~count:500 ~name:"sched = all-pairs reference (random blocks)"
+    (QCheck.make ~print:(fun body ->
+         Format.asprintf "%a"
+           (Format.pp_print_list Mach.pp_instr)
+           body)
+       vcode_body_gen)
+    (fun body ->
+      let vc = one_block_vcode body in
+      let moved = Cmo_llo.Sched.run vc in
+      let expected, expected_moved = ref_schedule_block body in
+      (List.hd vc.Isel.vblocks).Isel.body = expected && moved = expected_moved)
+
+(* Register-allocator liveness by the per-instruction backward walk
+   over Hashtbl sets, and the intervals it implies. *)
+let ref_live_intervals (vc : Isel.vcode) =
+  let is_vreg r = r >= Mach.first_vreg in
+  let term_uses = function
+    | Isel.Vbr (r, _, _) when is_vreg r -> [ r ]
+    | Isel.Vbr _ | Isel.Vjmp _ | Isel.Vret -> []
+  in
+  let successors = function
+    | Isel.Vjmp l -> [ l ]
+    | Isel.Vbr (_, a, b) -> [ a; b ]
+    | Isel.Vret -> []
+  in
+  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Isel.vblock) ->
+      Hashtbl.replace live_in b.Isel.vlabel (Hashtbl.create 8);
+      Hashtbl.replace live_out b.Isel.vlabel (Hashtbl.create 8))
+    vc.Isel.vblocks;
+  let changed = ref true in
+  let add_all ~into from =
+    Hashtbl.iter
+      (fun v () ->
+        if not (Hashtbl.mem into v) then begin
+          Hashtbl.replace into v ();
+          changed := true
+        end)
+      from
+  in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (b : Isel.vblock) ->
+        let out = Hashtbl.find live_out b.Isel.vlabel in
+        List.iter
+          (fun s -> Option.iter (add_all ~into:out) (Hashtbl.find_opt live_in s))
+          (successors b.Isel.vterm);
+        let live = Hashtbl.copy out in
+        List.iter (fun v -> Hashtbl.replace live v ()) (term_uses b.Isel.vterm);
+        List.iter
+          (fun i ->
+            List.iter (fun d -> if is_vreg d then Hashtbl.remove live d) (Mach.defs i);
+            List.iter (fun u -> if is_vreg u then Hashtbl.replace live u ()) (Mach.uses i))
+          (List.rev b.Isel.body);
+        add_all ~into:(Hashtbl.find live_in b.Isel.vlabel) live)
+      (List.rev vc.Isel.vblocks)
+  done;
+  let ranges = Hashtbl.create 64 in
+  let touch v pos =
+    match Hashtbl.find_opt ranges v with
+    | Some (lo, hi) -> Hashtbl.replace ranges v (min lo pos, max hi pos)
+    | None -> Hashtbl.replace ranges v (pos, pos)
+  in
+  let pos = ref 0 in
+  List.iter
+    (fun (b : Isel.vblock) ->
+      let start = !pos in
+      List.iter
+        (fun i ->
+          List.iter (fun r -> if is_vreg r then touch r !pos) (Mach.defs i @ Mach.uses i);
+          incr pos)
+        b.Isel.body;
+      List.iter (fun u -> touch u !pos) (term_uses b.Isel.vterm);
+      Hashtbl.iter (fun v () -> touch v start) (Hashtbl.find live_in b.Isel.vlabel);
+      Hashtbl.iter (fun v () -> touch v !pos) (Hashtbl.find live_out b.Isel.vlabel);
+      incr pos)
+    vc.Isel.vblocks;
+  Hashtbl.fold (fun v (lo, hi) acc -> (v, lo, hi) :: acc) ranges []
+  |> List.sort (fun (v, lo, _) (v', lo', _) -> compare (lo, v) (lo', v'))
+
+(* Most intervals live at one point: more than the allocatable
+   registers there forces at least the excess into memory. *)
+let max_overlap intervals =
+  List.fold_left
+    (fun acc (_, lo, _) ->
+      max acc (List.length (List.filter (fun (_, lo', hi') -> lo' <= lo && lo <= hi') intervals)))
+    0 intervals
+
+let test_regalloc_liveness_matches_reference () =
+  let routines name =
+    Cmo_driver.Pipeline.frontend
+      (List.map
+         (fun (name, text) -> { Cmo_driver.Pipeline.name; text })
+         (Cmo_workload.Genprog.generate (Cmo_workload.Suite.find name)))
+    |> List.concat_map (fun (m : Ilmod.t) ->
+           List.map (fun f -> (m.Ilmod.mname, f)) m.Ilmod.funcs)
+  in
+  let pressure =
+    let vars = List.init 30 (fun i -> Printf.sprintf "var v%d = arg(%d);" i i) in
+    let sum = List.init 30 (fun i -> Printf.sprintf "v%d" i) |> String.concat " + " in
+    let m =
+      Helpers.compile
+        (Printf.sprintf "func main() { %s return %s; }" (String.concat " " vars) sum)
+    in
+    ("test", Option.get (Ilmod.find_func m "main"))
+  in
+  let spilled = ref 0 and checked = ref 0 in
+  List.iter
+    (fun (module_name, f) ->
+      let vc = Isel.select ~module_name f in
+      ignore (Cmo_llo.Sched.run vc);
+      let expected = ref_live_intervals vc in
+      if Regalloc.live_intervals vc <> expected then
+        Alcotest.failf "%s: live intervals differ from the reference" f.Func.name;
+      let over = max_overlap expected - List.length Mach.allocatable in
+      let r = Regalloc.run vc in
+      if (r.Regalloc.spilled_vregs = 0) <> (over <= 0) || r.Regalloc.spilled_vregs < over
+      then
+        Alcotest.failf "%s: %d spilled with %d intervals over the register file"
+          f.Func.name r.Regalloc.spilled_vregs over;
+      spilled := !spilled + r.Regalloc.spilled_vregs;
+      incr checked)
+    ((pressure :: routines "li") @ routines "mcad1");
+  Alcotest.(check bool) "routines checked" true (!checked > 1000);
+  Alcotest.(check bool) "the pressure routine spills" true (!spilled > 0)
+
 (* ---------- assembler ---------- *)
 
 let test_asm_roundtrip_generated_module () =
@@ -724,6 +999,8 @@ let suite =
     ("sched fills load shadow", `Quick, test_sched_fills_load_shadow);
     ("sched respects dependences", `Quick, test_sched_respects_dependences);
     ("sched barriers hold order", `Quick, test_sched_barriers_hold_call_order);
+    Helpers.to_alcotest test_sched_matches_all_pairs;
+    ("regalloc liveness = reference", `Quick, test_regalloc_liveness_matches_reference);
     ("asm roundtrip", `Quick, test_asm_roundtrip_generated_module);
     ("asm reassemble and run", `Quick, test_asm_reassembled_object_links_and_runs);
     ("asm parse errors", `Quick, test_asm_parse_errors);
