@@ -901,7 +901,8 @@ let incremental_smoke () = incremental_for "li"
    invalidation components; we build it at j in {1,2,4} and record
    per-phase wall time and the realized cpu/wall speedup.  The
    headline claim is determinism, which the harness enforces: any
-   output divergence from the j=1 oracle is a benchmark failure. *)
+   output or modeled-peak divergence from the j=1 oracle is a
+   benchmark failure. *)
 (* ------------------------------------------------------------------ *)
 
 let parallel_for name ~shards =
@@ -941,13 +942,23 @@ let parallel_for name ~shards =
              = oracle.Pipeline.image.Cmo_link.Image.funcs
         && b.Pipeline.objects = oracle.Pipeline.objects
       in
-      if not identical then incr failures;
+      (* Modeled peaks are build outputs too: every worker count runs
+         the same units and merges them in unit order. *)
+      let peaks (r : Pipeline.report) = (r.Pipeline.mem_peak, r.Pipeline.mem_peak_hlo) in
+      let same_peaks = peaks r = peaks oracle.Pipeline.report in
+      if not (identical && same_peaks) then incr failures;
       Printf.printf "%-5d | %8.3f %8.3f %8.3f | %8.3f | %7.2fx | %s\n%!" jobs
         r.Pipeline.frontend_wall_seconds r.Pipeline.hlo_wall_seconds
         r.Pipeline.llo_wall_seconds
         (Pipeline.phase_cpu_seconds r)
         (Pipeline.par_speedup r)
-        (if identical then "identical to j=1" else "DIVERGED from j=1"))
+        (match (identical, same_peaks) with
+        | true, true -> "identical to j=1"
+        | false, _ -> "DIVERGED from j=1"
+        | true, false ->
+          Printf.sprintf "peaks %d/%d differ from j=1's %d/%d" r.Pipeline.mem_peak
+            r.Pipeline.mem_peak_hlo oracle.Pipeline.report.Pipeline.mem_peak
+            oracle.Pipeline.report.Pipeline.mem_peak_hlo))
     [ 1; 2; 4 ];
   Printf.printf
     "(speedup is cpu/wall; it tracks the hardware thread count, so on a\n\

@@ -3,8 +3,6 @@ module Correlate = Cmo_profile.Correlate
 module Phase = Cmo_hlo.Phase
 module Llo = Cmo_llo.Llo
 module Objfile = Cmo_link.Objfile
-module Linker = Cmo_link.Linker
-module Memstats = Cmo_naim.Memstats
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
 
@@ -182,7 +180,7 @@ let request ?profile ?remote s (options : Options.t) sources =
   in
   let frontend_seconds = Sys.time () -. t0 in
   let frontend_wall_seconds = Unix.gettimeofday () -. w0 in
-  let build_result =
+  let b =
     if want_il then begin
       (* CMO happens at link time, over the IL read back from disk. *)
       let modules =
@@ -197,93 +195,52 @@ let request ?profile ?remote s (options : Options.t) sources =
                       o.Objfile.module_name)))
           objects
       in
-      let with_frontend_time (b : Pipeline.build) =
-        {
-          b with
-          Pipeline.report =
-            {
-              b.Pipeline.report with
-              Pipeline.frontend_seconds;
-              frontend_wall_seconds;
-            };
-        }
+      let b =
+        Pipeline.compile_modules ?profile ?cache:s.sstore ?naim_repo:s.srepo
+          ?remote options modules
       in
-      with_frontend_time
-      @@
-      match s.sstore with
-      | Some store ->
-        let b =
-          Pipeline.compile_modules ?profile ~cache:store ?naim_repo:s.srepo
-            ?remote options modules
-        in
-        (* Keep the warm store durable between requests: the session
-           outlives this build, so flush now rather than at close. *)
-        Store.flush store;
-        b
-      | None ->
-        Pipeline.compile_modules ?profile ?naim_repo:s.srepo options modules
+      (* Keep the warm store durable between requests: the session
+         outlives this build, so flush now rather than at close. *)
+      Option.iter Store.flush s.sstore;
+      b
     end
     else begin
       let t1 = Sys.time () in
       let w1 = Unix.gettimeofday () in
       let image =
         Cmo_obs.Obs.with_span ~cat:"stage" "link" @@ fun () ->
-        match Linker.link objects with
-        | Ok image -> image
-        | Error errs ->
-          raise
-            (Pipeline.Compile_error
-               (Format.asprintf "@[<v>link failed:@,%a@]"
-                  (Format.pp_print_list ~pp_sep:Format.pp_print_cut
-                     Linker.pp_error)
-                  errs))
+        Pipeline.link_objects objects
       in
-      let link_seconds = Sys.time () -. t1 in
-      let link_wall_seconds = Unix.gettimeofday () -. w1 in
-      let mem = Memstats.create () in
+      let report = Pipeline.empty_report options in
       {
         Pipeline.image;
         objects;
         manifest = None;
         report =
           {
-            Pipeline.options;
-            hlo = None;
-            loader_stats = None;
-            mem_peak = Memstats.peak mem;
-            mem_peak_hlo = 0;
-            selection = None;
-            llo =
+            report with
+            Pipeline.llo =
               {
-                Llo.routines = 0;
-                mach_instrs = Array.length image.Cmo_link.Image.code;
-                spilled_vregs = 0;
-                peephole_rewrites = 0;
-                layout_changes = 0;
+                report.Pipeline.llo with
+                Llo.mach_instrs = Array.length image.Cmo_link.Image.code;
               };
-            frontend_seconds;
-            hlo_seconds = 0.0;
-            llo_seconds = 0.0;
-            link_seconds;
-            frontend_wall_seconds;
-            hlo_wall_seconds = 0.0;
-            llo_wall_seconds = 0.0;
-            link_wall_seconds;
-            workers_used = 1;
-            total_lines = 0;
-            cmo_lines = 0;
-            warm_lines = 0;
-            cold_lines = 0;
-            cache = None;
-            obs =
-              (if Cmo_obs.Obs.enabled () then Some (Cmo_obs.Obs.summary ())
-               else None);
+            link_seconds = Sys.time () -. t1;
+            link_wall_seconds = Unix.gettimeofday () -. w1;
           };
       }
     end
   in
   {
-    build = build_result;
+    build =
+      {
+        b with
+        Pipeline.report =
+          {
+            b.Pipeline.report with
+            Pipeline.frontend_seconds;
+            frontend_wall_seconds;
+          };
+      };
     recompiled = List.rev !recompiled;
     reused = List.rev !reused;
   }

@@ -130,3 +130,23 @@ let shutdown pool =
 let with_pool ~jobs f =
   let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+let map_jobs ~jobs f xs =
+  match min jobs (List.length xs) with
+  | n when n <= 1 -> List.map f xs
+  | n -> with_pool ~jobs:n (fun pool -> map pool f xs)
+
+(* [Lazy.force] raises [Undefined] when two domains race to force the
+   same suspension, so shared read-only values memoize behind a mutex
+   instead. *)
+let memo_locked f =
+  let m = Mutex.create () in
+  let cell = ref None in
+  fun () ->
+    Mutex.protect m @@ fun () ->
+    match !cell with
+    | Some v -> v
+    | None ->
+      let v = f () in
+      cell := Some v;
+      v

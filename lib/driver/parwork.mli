@@ -1,5 +1,5 @@
 (** Bounded Domain-pool executor for the pipeline's embarrassingly
-    parallel points (per-module frontend, per-component link-time HLO,
+    parallel points (per-module frontend, per-unit link-time HLO,
     per-module codegen).
 
     Determinism contract: results are delivered in submission order
@@ -37,3 +37,13 @@ val shutdown : pool -> unit
 
 val with_pool : jobs:int -> (pool -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
+
+val map_jobs : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map] on a pool of [min jobs (List.length xs)] domains, created
+    and shut down around the call.  When that is at most 1 it is
+    [List.map f xs] on the calling domain: no pool, no domain. *)
+
+val memo_locked : (unit -> 'a) -> unit -> 'a
+(** A domain-safe lazy: the returned thunk runs [f] once, under a
+    mutex, and returns the same value to every caller on any
+    domain. *)

@@ -136,11 +136,7 @@ let frontend ?(jobs = 1) sources =
     sources;
   (* Per-module lowering is independent; Parwork keeps result order
      and raises the first error by input order, like List.map. *)
-  let modules =
-    if jobs > 1 then
-      Parwork.with_pool ~jobs (fun pool -> Parwork.map pool frontend_one sources)
-    else List.map frontend_one sources
-  in
+  let modules = Parwork.map_jobs ~jobs frontend_one sources in
   (match Verify.check_program modules with
   | [] -> ()
   | issues ->
@@ -148,6 +144,8 @@ let frontend ?(jobs = 1) sources =
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut Verify.pp_issue)
       issues);
   modules
+
+let src_lines = List.fold_left (fun acc m -> acc + Ilmod.src_lines m) 0
 
 (* Dynamic call weights for routine clustering, from annotated IL. *)
 let cluster_weights modules =
@@ -202,15 +200,6 @@ let external_context outside_modules =
     outside_modules;
   (called, stored)
 
-let add_llo_stats a b =
-  {
-    Llo.routines = a.Llo.routines + b.Llo.routines;
-    mach_instrs = a.Llo.mach_instrs + b.Llo.mach_instrs;
-    spilled_vregs = a.Llo.spilled_vregs + b.Llo.spilled_vregs;
-    peephole_rewrites = a.Llo.peephole_rewrites + b.Llo.peephole_rewrites;
-    layout_changes = a.Llo.layout_changes + b.Llo.layout_changes;
-  }
-
 let merge_loader_stats (a : Loader.stats) (b : Loader.stats) =
   {
     Loader.acquires = a.Loader.acquires + b.Loader.acquires;
@@ -220,21 +209,6 @@ let merge_loader_stats (a : Loader.stats) (b : Loader.stats) =
     compactions = a.Loader.compactions + b.Loader.compactions;
     offloads = a.Loader.offloads + b.Loader.offloads;
     symtab_compactions = a.Loader.symtab_compactions + b.Loader.symtab_compactions;
-  }
-
-let llo_module ?check ~mem ~layout stats_acc (m : Ilmod.t) =
-  let codes, stats = Llo.compile_module ?mem ?check ~layout m in
-  stats_acc := add_llo_stats !stats_acc stats;
-  Objfile.of_code ~module_name:m.Ilmod.mname ~globals:m.Ilmod.globals
-    ~source_digest:"" codes
-
-let zero_llo_stats =
-  {
-    Llo.routines = 0;
-    mach_instrs = 0;
-    spilled_vregs = 0;
-    peephole_rewrites = 0;
-    layout_changes = 0;
   }
 
 (* --- the codegen tier of the artifact store ------------------------- *)
@@ -303,7 +277,7 @@ type code_lookup =
   | Code_hit of (Objfile.t * Llo.stats * int)
   | Code_miss of (Store.t * string) option  (* where to add the fresh entry *)
 
-let link_or_fail ?routine_order objects =
+let link_objects ?routine_order objects =
   match Linker.link ?routine_order objects with
   | Ok image -> image
   | Error errs ->
@@ -318,872 +292,760 @@ let render_violations vs =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Ilcheck.pp_violation)
     vs
 
+(* Checker factory: [None] when [check] is off, so the optimizers skip
+   the hook entirely; the environment is deferred (and shared by the
+   worker pool) because a snapshot costs a pass over the program. *)
+let checker (options : Options.t) env_of =
+  if not options.Options.check then None
+  else
+    let env = Parwork.memo_locked env_of in
+    Some (fun ~phase f -> Ilcheck.check_func_exn ~env:(env ()) ~phase f)
+
+(* --- the report --------------------------------------------------- *)
+
 (* Trace summary for the report, captured while the sink is live. *)
 let obs_summary () = if Obs.enabled () then Some (Obs.summary ()) else None
 
-(* A domain-safe lazy.  Checker environments are shared read-only
-   across the worker pool, and [Lazy.force] raises [Undefined] when
-   two domains race to force the same suspension — so memoize behind
-   a mutex instead. *)
-let memo_locked f =
-  let m = Mutex.create () in
-  let cell = ref None in
-  fun () ->
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->
-    match !cell with
-    | Some v -> v
-    | None ->
-      let v = f () in
-      cell := Some v;
-      v
+let empty_report options =
+  {
+    options;
+    hlo = None;
+    loader_stats = None;
+    mem_peak = 0;
+    mem_peak_hlo = 0;
+    selection = None;
+    llo = Llo.zero_stats;
+    frontend_seconds = 0.0;
+    hlo_seconds = 0.0;
+    llo_seconds = 0.0;
+    link_seconds = 0.0;
+    frontend_wall_seconds = 0.0;
+    hlo_wall_seconds = 0.0;
+    llo_wall_seconds = 0.0;
+    link_wall_seconds = 0.0;
+    workers_used = 1;
+    total_lines = 0;
+    cmo_lines = 0;
+    warm_lines = 0;
+    cold_lines = 0;
+    cache = None;
+    obs = obs_summary ();
+  }
+
+(* [f ()] with the cpu and wall seconds it took. *)
+let timed f =
+  let t0 = Sys.time () and w0 = Unix.gettimeofday () in
+  let v = f () in
+  (v, Sys.time () -. t0, Unix.gettimeofday () -. w0)
+
+(* --- the stages ------------------------------------------------------
+
+   Every build runs annotate, select, outside (+O2), plan, ltrans,
+   codegen and link, in that order; +I skips straight from
+   instrumentation to codegen.  A store, the worker count and
+   distribution decide only where a unit's work comes from — never
+   which units exist or how their results merge — so they cannot
+   change an artifact, a report count or a modeled peak. *)
+
+(* What the stages of one build share. *)
+type ctx = {
+  options : Options.t;
+  store : Store.t option;
+  remote : Distwork.remote option;
+  naim_repo : Cmo_naim.Repository.t option;
+  mem : Memstats.t;  (* the build's; unit and codegen accountants merge in *)
+  il_bytes : (string, string) Hashtbl.t;
+      (* post-HLO IL bytes the store path already holds, by module:
+         the codegen key reuses them instead of re-encoding *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable remote_hits : int;
+  mutable remote_misses : int;
+  mutable code_hits : int;
+  mutable code_misses : int;
+}
+
+(* Decode a stored module artifact, keeping its bytes for the codegen
+   key; anything unexpected — corrupt bytes, a key collision
+   surfacing as the wrong module — degrades to a miss. *)
+let decode_artifact (ctx : ctx) bytes mname =
+  match Ilcodec.decode_module bytes with
+  | m when m.Ilmod.mname = mname ->
+    Hashtbl.replace ctx.il_bytes mname bytes;
+    Some m
+  | _ -> None
+  | exception Codec.Reader.Corrupt _ -> None
+
+(* Persist a fresh artifact and publish it to the remote cache, whose
+   own wrapper absorbs failures (a dead daemon must not fail the
+   build). *)
+let add_artifact (ctx : ctx) store key mname bytes =
+  Hashtbl.replace ctx.il_bytes mname bytes;
+  Store.add store key bytes;
+  Option.iter (fun r -> r.Distwork.remote_put key bytes) ctx.remote
+
+(* The local store first, then the remote cache; a validated remote
+   artifact is adopted into the local store so the next build hits
+   locally.  Lookups run only on the serial path (the outside sweep
+   and ltrans' fetch), so store bytes do not depend on [jobs]. *)
+let fetch_module (ctx : ctx) store key mname =
+  let tick name = Obs.tick "cache.module" name 1 in
+  match
+    Option.bind (Store.find store key) (fun b -> decode_artifact ctx b mname)
+  with
+  | Some m ->
+    ctx.hits <- ctx.hits + 1;
+    tick "hits";
+    Some m
+  | None ->
+    let adopted =
+      Option.bind ctx.remote (fun r ->
+          match
+            Option.bind (r.Distwork.remote_get key) (fun bytes ->
+                Option.map
+                  (fun m -> (m, bytes))
+                  (decode_artifact ctx bytes mname))
+          with
+          | Some (m, bytes) ->
+            Store.add store key bytes;
+            ctx.remote_hits <- ctx.remote_hits + 1;
+            tick "remote_hits";
+            Some m
+          | None ->
+            ctx.remote_misses <- ctx.remote_misses + 1;
+            tick "remote_misses";
+            None)
+    in
+    if Option.is_none adopted then begin
+      ctx.misses <- ctx.misses + 1;
+      tick "misses"
+    end;
+    adopted
+
+let annotate ?profile (options : Options.t) modules =
+  match profile with
+  | Some db when options.Options.pbo -> ignore (Correlate.annotate db modules)
+  | Some _ | None -> Correlate.clear modules
+
+(* select: the CMO set, the modules outside it, and the selectivity
+   decision that chose them. *)
+let select (options : Options.t) modules =
+  let split names =
+    List.partition (fun (m : Ilmod.t) -> List.mem m.Ilmod.mname names) modules
+  in
+  match (options.Options.cmo_modules, options.Options.selectivity) with
+  | Some names, _ ->
+    (* Explicit set: the bug-isolation driver's reduction axis. *)
+    let cmo_set, outside = split names in
+    (cmo_set, outside, None)
+  | None, Some percent when options.Options.pbo ->
+    let sel = Selectivity.select ~percent modules in
+    let cmo_set, outside = split sel.Selectivity.cmo_modules in
+    (cmo_set, outside, Some sel)
+  | None, (Some _ | None) -> (modules, [], None)
+
+let optimize_o2 (ctx : ctx) ~check (m : Ilmod.t) =
+  List.iter
+    (fun f -> ignore (Phase.optimize_func ~mem:ctx.mem ?check f))
+    m.Ilmod.funcs
+
+let module_is_cold (m : Ilmod.t) =
+  List.for_all
+    (fun (f : Func.t) ->
+      List.for_all (fun (b : Func.block) -> b.Func.freq = 0.0) f.Func.blocks)
+    m.Ilmod.funcs
+
+(* outside: the paper, section 5: "The remaining modules bypass HLO
+   entirely, and are optimized at the default optimization level
+   using PBO."  Under the tiered mode (the section-8 multi-layered
+   future work), modules the profile never saw execute also skip the
+   default-level scalar optimization.  The work is per module, keyed
+   on the annotated IL alone.  Returns the modules with their warm
+   and cold line counts. *)
+let optimize_outside (ctx : ctx) ~check outside =
+  let warm = ref 0 and cold = ref 0 in
+  let one (m : Ilmod.t) =
+    if ctx.options.Options.tiered && module_is_cold m then begin
+      cold := !cold + Ilmod.src_lines m;
+      m
+    end
+    else begin
+      warm := !warm + Ilmod.src_lines m;
+      match ctx.store with
+      | None ->
+        optimize_o2 ctx ~check m;
+        m
+      | Some store -> (
+        let key =
+          Fingerprint.of_strings [ "o2out1"; Ilcodec.encode_module m ]
+        in
+        match fetch_module ctx store key m.Ilmod.mname with
+        | Some cached -> cached
+        | None ->
+          optimize_o2 ctx ~check m;
+          add_artifact ctx store key m.Ilmod.mname (Ilcodec.encode_module m);
+          m)
+    end
+  in
+  let modules = List.map one outside in
+  (modules, !warm, !cold)
+
+(* One unit of link-time CMO: an invalidation component when the set
+   decomposes, else the whole CMO set (GCC's LTRANS partition). *)
+type ltrans_unit = {
+  members : Ilmod.t list;  (* in CMO-set order *)
+  rootless : bool;
+      (* no root here while roots exist elsewhere: the whole-set run's
+         IPA removes every one of its functions as unreachable, so its
+         optimized form is the empty-bodied modules — running HLO here
+         would instead hit IPA's keep-everything guard *)
+}
+
+(* The serial WPA step's result, fixed before any unit runs (and so
+   before any loader empties a module it registers). *)
+type plan = {
+  called : (string, unit) Hashtbl.t;  (* called from outside the set *)
+  stored : (string, unit) Hashtbl.t;  (* stored from outside the set *)
+  units : ltrans_unit list;  (* ordered by first member *)
+  keys : (string, string) Hashtbl.t;
+      (* module artifact keys by module; empty without a store *)
+}
+
+(* plan: the external context (the non-CMO modules' calls and stores
+   into the set), the roots, decomposability, the units and — when a
+   store is attached — the artifact keys.  [Invalidate.compute] runs
+   only when the split or a key needs it. *)
+let plan (ctx : ctx) ~selection ~outside cmo_set =
+  let options = ctx.options in
+  let called, stored = external_context outside in
+  let has_root members =
+    List.exists
+      (fun (m : Ilmod.t) ->
+        List.exists
+          (fun (f : Func.t) ->
+            f.Func.name = "main" || f.Func.linkage = Func.Exported
+            || Hashtbl.mem called f.Func.name)
+          m.Ilmod.funcs)
+      members
+  in
+  let roots_exist = has_root cmo_set in
+  (* Per-component treatment is exact only when every global decision
+     decomposes by component: profile-guided cloning uses program-wide
+     counters and name allocation, and the bug-isolation operation
+     limits are program-wide budgets, so those modes run the whole set
+     as one unit.  Likewise the degenerate rootless program, where
+     IPA's keep-everything guard is not component-local. *)
+  let decomposable =
+    (not options.Options.pbo)
+    && options.Options.inline_limit = None
+    && options.Options.rewrite_limit = None
+    && roots_exist
+  in
+  let part = lazy (Invalidate.compute cmo_set) in
+  let units =
+    (if cmo_set = [] then []
+     else if decomposable then begin
+       let by_name = Hashtbl.create 16 in
+       List.iter
+         (fun (m : Ilmod.t) -> Hashtbl.replace by_name m.Ilmod.mname m)
+         cmo_set;
+       List.map (List.map (Hashtbl.find by_name))
+         (Invalidate.components (Lazy.force part))
+     end
+     else [ cmo_set ])
+    |> List.map (fun members ->
+           { members; rootless = roots_exist && not (has_root members) })
+  in
+  let keys = Hashtbl.create 16 in
+  if Option.is_some ctx.store then begin
+    let prefix =
+      [
+        "cmo1";
+        Options.cache_fingerprint options;
+        (match selection with
+        | None -> "nosel"
+        | Some sel ->
+          Fingerprint.of_strings
+            (("sel" :: sel.Selectivity.cmo_modules)
+            @ ("|" :: sel.Selectivity.hot_functions)));
+      ]
+    in
+    (* A module's key: its unit's (name, digest) pairs plus the slice
+       of the external context the unit can observe — external
+       callers pin IPA argument lattices and keep functions alive;
+       external stores block const-global folding. *)
+    List.iter
+      (fun u ->
+        let names = List.map (fun (m : Ilmod.t) -> m.Ilmod.mname) u.members in
+        let ext_called =
+          List.filter (Hashtbl.mem called) (all_func_names u.members)
+          |> List.sort String.compare
+        in
+        let ext_stored =
+          List.concat_map (Invalidate.global_refs (Lazy.force part)) names
+          |> List.sort_uniq String.compare
+          |> List.filter (Hashtbl.mem stored)
+        in
+        let parts =
+          List.concat_map
+            (fun (m : Ilmod.t) ->
+              [
+                m.Ilmod.mname;
+                Fingerprint.of_strings [ Ilcodec.encode_module m ];
+              ])
+            u.members
+          @ ("|called" :: ext_called)
+          @ ("|stored" :: ext_stored)
+        in
+        List.iter
+          (fun name ->
+            Hashtbl.replace keys name
+              (Fingerprint.of_strings (prefix @ (name :: "|comp" :: parts))))
+          names)
+      units
+  end;
+  { called; stored; units; keys }
+
+(* One unit's outcome, merged on the coordinator in unit order. *)
+type unit_result = {
+  out : (Ilmod.t * string option) list;
+      (* each optimized module, with the worker process's own encoding
+         when one ran the unit: stored verbatim, the bytes that crossed
+         the wire define the artifact, with no parent-side re-encode in
+         between *)
+  hlo_stats : (Hlo.report * Loader.stats) option;  (* None when rootless *)
+  unit_mem : Memstats.t;
+  txn : Store.txn option;
+      (* the transaction to commit: after a lost worker its
+         replacement, never the abandoned original *)
+}
+
+let keys_of tbl =
+  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort String.compare
+
+(* Optimize one unit with its own NAIM loader, accountant and store
+   transaction — in process through {!Distwork.optimize_subset}, or as
+   a partition job on a pooled worker process running that same code,
+   which is what keeps distribution byte-invisible.  The external
+   context is always the non-CMO modules': units are closed under
+   calls and shared globals, so other units cannot observe this one.
+   A lost worker leaves its transaction holding a partial op log that
+   must never commit: it is abandoned, and the unit is redone locally
+   on a fresh one, whose log then matches the oracle's exactly. *)
+let run_unit (ctx : ctx) ~selection ~check_base ~dist_pool plan u =
+  Obs.with_span ~cat:"component" (List.hd u.members).Ilmod.mname @@ fun () ->
+  let unit_mem = Memstats.create () in
+  let begin_txn () = Option.map Store.txn_begin ctx.store in
+  let phase_cache_of = Option.map Hlo.txn_phase_cache in
+  let local txn =
+    let out, report, lstats =
+      Distwork.optimize_subset ?phase_cache:(phase_cache_of txn)
+        ?naim_repo:ctx.naim_repo
+        ?hot_filter:
+          (Option.map
+             (fun sel name -> Selectivity.is_hot_function sel name)
+             selection)
+        ~check_base ~options:ctx.options
+        ~externally_called:(Hashtbl.mem plan.called)
+        ~externally_stored:(Hashtbl.mem plan.stored) ~mem:unit_mem u.members
+    in
+    (List.map (fun m -> (m, None)) out, Some (report, lstats), txn)
+  in
+  (* A partition job carries everything the serial WPA step computed
+     for this unit: the encoded modules, the external context, the
+     hot-function selection and the full option record. *)
+  let remote pool txn =
+    let payload =
+      Distwork.run_job pool ?phase_cache:(phase_cache_of txn)
+        {
+          Distwork.job_options = ctx.options;
+          job_modules = List.map Ilcodec.encode_module u.members;
+          job_called = keys_of plan.called;
+          job_stored = keys_of plan.stored;
+          job_hot =
+            Option.map (fun sel -> sel.Selectivity.hot_functions) selection;
+          job_phase_cache = false (* run_job decides *);
+        }
+    in
+    Memstats.merge unit_mem
+      (Distwork.memstats_of_summary payload.Distwork.done_mem);
+    ( List.map
+        (fun b -> (Ilcodec.decode_module b, Some b))
+        payload.Distwork.done_modules,
+      Some (payload.Distwork.done_report, payload.Distwork.done_lstats),
+      txn )
+  in
+  let out, hlo_stats, txn =
+    let txn = begin_txn () in
+    if u.rootless then
+      ( List.map
+          (fun (m : Ilmod.t) -> ({ m with Ilmod.funcs = [] }, None))
+          u.members,
+        None,
+        txn )
+    else
+      match dist_pool with
+      | None -> local txn
+      | Some pool -> (
+        try remote pool txn with Distwork.Worker_lost -> local (begin_txn ()))
+  in
+  { out; hlo_stats; unit_mem; txn }
+
+(* WHOPR-style distribution: one worker pool per build — remote
+   [--workers] endpoints dialed on demand, local processes spawned on
+   demand.  A missing worker binary (with no endpoints) degrades the
+   whole build to in-process execution, never an error: [dist] is a
+   behaviour-preserving knob like [jobs]. *)
+let with_dist_pool (options : Options.t) f =
+  let pool =
+    if not options.Options.dist then None
+    else
+      match
+        Distwork.create_pool ~workers:options.Options.workers
+          ?timeout_s:options.Options.dist_timeout ()
+      with
+      | pool -> Some pool
+      | exception Distwork.Unavailable msg ->
+        Log.warn (fun m -> m "dist: %s; building in-process" msg);
+        None
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Distwork.close_pool pool)
+    (fun () -> f pool)
+
+(* What the optimization stages hand to codegen, link and the report. *)
+type optimized = {
+  modules : Ilmod.t list;  (* the CMO set in CMO-set order, then the rest *)
+  manifest : Probe.manifest option;  (* +I only *)
+  hlo : Hlo.report option;
+  loader_stats : Loader.stats option;
+  selection : Selectivity.t option;
+  cmo_lines : int;
+  warm_lines : int;
+  cold_lines : int;
+  cmo_cached : string list;
+  cmo_reoptimized : string list;
+}
+
+let unoptimized modules =
+  {
+    modules;
+    manifest = None;
+    hlo = None;
+    loader_stats = None;
+    selection = None;
+    cmo_lines = 0;
+    warm_lines = 0;
+    cold_lines = 0;
+    cmo_cached = [];
+    cmo_reoptimized = [];
+  }
+
+(* ltrans: fetch every key in CMO-set order, run each stale unit
+   (every unit without a store) through [run_unit] on the worker pool,
+   then, in unit order, merge accountants and reports and commit every
+   transaction — and only then add the fresh module artifacts.  Every
+   fetch happens before any unit starts, so the transactions' snapshot
+   view of the store is fixed. *)
+let ltrans (ctx : ctx) ~selection ~check_base plan cmo_set =
+  let fetched = Hashtbl.create 16 in
+  Option.iter
+    (fun store ->
+      List.iter
+        (fun (m : Ilmod.t) ->
+          let name = m.Ilmod.mname in
+          Option.iter (Hashtbl.replace fetched name)
+            (fetch_module ctx store (Hashtbl.find plan.keys name) name))
+        cmo_set)
+    ctx.store;
+  let stale =
+    List.filter
+      (fun u ->
+        List.exists
+          (fun (m : Ilmod.t) -> not (Hashtbl.mem fetched m.Ilmod.mname))
+          u.members)
+      plan.units
+  in
+  let results =
+    with_dist_pool ctx.options (fun dist_pool ->
+        Parwork.map_jobs ~jobs:ctx.options.Options.jobs
+          (run_unit ctx ~selection ~check_base ~dist_pool plan)
+          stale)
+  in
+  let merged = ref None in
+  List.iter
+    (fun r ->
+      Memstats.merge ctx.mem r.unit_mem;
+      Option.iter
+        (fun (report, lstats) ->
+          merged :=
+            Some
+              (match !merged with
+              | None -> (report, lstats)
+              | Some (h, l) ->
+                (Hlo.merge_reports h report, merge_loader_stats l lstats)))
+        r.hlo_stats;
+      Option.iter Store.txn_commit r.txn)
+    results;
+  let optimized = Hashtbl.create 16 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun ((m : Ilmod.t), wire) ->
+          let name = m.Ilmod.mname in
+          Hashtbl.replace optimized name m;
+          match (ctx.store, Hashtbl.find_opt plan.keys name) with
+          | Some store, Some key ->
+            add_artifact ctx store key name
+              (match wire with Some b -> b | None -> Ilcodec.encode_module m)
+          | _ -> ())
+        r.out)
+    results;
+  let reoptimized, cached =
+    List.partition
+      (fun (m : Ilmod.t) -> Hashtbl.mem optimized m.Ilmod.mname)
+      cmo_set
+  in
+  let names = List.map (fun (m : Ilmod.t) -> m.Ilmod.mname) in
+  {
+    (unoptimized
+       (List.map
+          (fun (m : Ilmod.t) ->
+            match Hashtbl.find_opt optimized m.Ilmod.mname with
+            | Some m' -> m'
+            | None -> Hashtbl.find fetched m.Ilmod.mname)
+          cmo_set))
+    with
+    hlo = Option.map fst !merged;
+    loader_stats = Option.map snd !merged;
+    cmo_cached = names cached;
+    cmo_reoptimized = names reoptimized;
+  }
+
+(* The optimization stages for the build's level. *)
+let optimize (ctx : ctx) modules =
+  (* The whole-program view as the frontends delivered it: valid for
+     every check until HLO starts adding and removing functions. *)
+  let check = checker ctx.options (fun () -> Ilcheck.env_of_modules modules) in
+  match ctx.options.Options.level with
+  | Options.O1 -> unoptimized modules
+  | Options.O2 ->
+    List.iter (optimize_o2 ctx ~check) modules;
+    unoptimized modules
+  | Options.O4 ->
+    let cmo_set, outside, selection = select ctx.options modules in
+    let cmo_lines = src_lines cmo_set in
+    let outside, warm_lines, cold_lines = optimize_outside ctx ~check outside in
+    let plan = plan ctx ~selection ~outside cmo_set in
+    (* What link-time CMO may reference beyond its own loader: the
+       non-CMO modules' functions and globals, snapshot once and
+       shared read-only by every unit. *)
+    let check_base =
+      Parwork.memo_locked (fun () -> Ilcheck.env_of_modules outside)
+    in
+    let o = ltrans ctx ~selection ~check_base plan cmo_set in
+    {
+      o with
+      modules = o.modules @ outside;
+      selection;
+      cmo_lines;
+      warm_lines;
+      cold_lines;
+    }
+
+(* codegen: per-module and independent.  Each module compiles with
+   its own stats and accountant, merged in module order, so objects,
+   stats and modeled peaks are the same at every [jobs].
+
+   With a store attached, the codegen tier serves modules whose
+   post-HLO IL it has seen before, keyed on those IL bytes, the
+   [layout] flag and [code_format].  A hit replays what LLO leaves
+   behind: block layout (and its check) on the IL the linker's
+   clustering reads, the stored stats, and the stored peak charged and
+   released.  Lookups and adds run serially in module order and only
+   misses go to the pool, so the store's bytes do not depend on
+   [jobs]. *)
+let codegen (ctx : ctx) ~layout modules =
+  Obs.with_span ~cat:"stage" "llo" @@ fun () ->
+  (* Post-CMO view: clones present, IPA-removed routines gone — a
+     reference that dangles here would dangle at link time too. *)
+  let check = checker ctx.options (fun () -> Ilcheck.env_of_modules modules) in
+  let compile (m : Ilmod.t) =
+    let wmem = Memstats.create () in
+    let codes, stats = Llo.compile_module ~mem:wmem ?check ~layout m in
+    ( Objfile.of_code ~module_name:m.Ilmod.mname ~globals:m.Ilmod.globals
+        ~source_digest:"" codes,
+      stats,
+      wmem )
+  in
+  let replay (m : Ilmod.t) (obj, stats, max_charge) =
+    if layout then
+      List.iter
+        (fun f ->
+          ignore (Layout.run f);
+          Option.iter (fun check -> check ~phase:"layout" f) check)
+        m.Ilmod.funcs;
+    let wmem = Memstats.create () in
+    Memstats.charge wmem Memstats.Llo max_charge;
+    Memstats.release wmem Memstats.Llo max_charge;
+    (obj, stats, wmem)
+  in
+  let lookup (m : Ilmod.t) =
+    match ctx.store with
+    | None -> Code_miss None
+    | Some store -> (
+      let il =
+        match Hashtbl.find_opt ctx.il_bytes m.Ilmod.mname with
+        | Some bytes -> bytes
+        | None -> Ilcodec.encode_module m
+      in
+      let key = code_key ~layout il in
+      match
+        Option.bind (Store.find store key) (fun bytes ->
+            decode_code_entry bytes m.Ilmod.mname)
+      with
+      | Some entry ->
+        ctx.code_hits <- ctx.code_hits + 1;
+        Obs.tick "cache.code" "hits" 1;
+        Code_hit entry
+      | None ->
+        ctx.code_misses <- ctx.code_misses + 1;
+        Obs.tick "cache.code" "misses" 1;
+        Code_miss (Some (store, key)))
+  in
+  let looked = List.map (fun m -> (m, lookup m)) modules in
+  let fresh =
+    ref
+      (Parwork.map_jobs ~jobs:ctx.options.Options.jobs compile
+         (List.filter_map
+            (function m, Code_miss _ -> Some m | _, Code_hit _ -> None)
+            looked))
+  in
+  let stats = ref Llo.zero_stats in
+  let objects =
+    List.map
+      (fun (m, found) ->
+        let obj, s, wmem =
+          match (found, !fresh) with
+          | Code_hit entry, _ -> replay m entry
+          | Code_miss dest, ((obj, s, wmem) as r) :: rest ->
+            fresh := rest;
+            Option.iter
+              (fun (store, key) ->
+                Store.add store key
+                  (encode_code_entry obj s (Memstats.peak wmem)))
+              dest;
+            r
+          | Code_miss _, [] -> assert false
+        in
+        stats := Llo.add_stats !stats s;
+        Memstats.merge ctx.mem wmem;
+        obj)
+      looked
+  in
+  (objects, !stats)
+
+(* link, clustering routines when profiled. *)
+let link ~cluster modules objects =
+  Obs.with_span ~cat:"stage" "link" @@ fun () ->
+  let routine_order =
+    if not cluster then None
+    else
+      match cluster_weights modules with
+      | [] -> None
+      | weights ->
+        Some
+          (Obs.with_span ~cat:"link" "cluster" (fun () ->
+               Cluster.order ~names:(all_func_names modules) ~weights))
+  in
+  link_objects ?routine_order objects
 
 let compile_modules_inner ?profile ?cache ?naim_repo ?remote
     (options : Options.t) modules =
-  let jobs = max 1 options.Options.jobs in
-  (* Checker factory: [None] when [check] is off, so the optimizers
-     skip the hook entirely; environments are deferred (memoized
-     thunks) because snapshots cost a pass over the program. *)
-  let checker_of env_fn =
-    if not options.Options.check then None
-    else
-      Some (fun ~phase f -> Ilcheck.check_func_exn ~env:(env_fn ()) ~phase f)
-  in
-  let t0 = Sys.time () in
-  let w0 = Unix.gettimeofday () in
-  let total_lines =
-    List.fold_left (fun acc m -> acc + Ilmod.src_lines m) 0 modules
-  in
-  (* +I: instrument and build without optimization.  Probe numbering
-     is a global sequence, so this path stays sequential. *)
-  if options.Options.instrument then begin
-    let instrumented, manifest = Probe.instrument modules in
-    let mem = Memstats.create () in
-    let llo_stats = ref zero_llo_stats in
-    let objects =
-      List.map (llo_module ~mem:(Some mem) ~layout:false llo_stats) instrumented
-    in
-    let image = link_or_fail objects in
-    let t1 = Sys.time () in
-    let w1 = Unix.gettimeofday () in
+  let instrument = options.Options.instrument in
+  let ctx : ctx =
     {
-      image;
-      objects;
-      manifest = Some manifest;
-      report =
-        {
-          options;
-          hlo = None;
-          loader_stats = None;
-          mem_peak = Memstats.peak mem;
-          mem_peak_hlo = Memstats.peak_hlo mem;
-          selection = None;
-          llo = !llo_stats;
-          frontend_seconds = 0.0;
-          hlo_seconds = 0.0;
-          llo_seconds = t1 -. t0;
-          link_seconds = 0.0;
-          frontend_wall_seconds = 0.0;
-          hlo_wall_seconds = 0.0;
-          llo_wall_seconds = w1 -. w0;
-          link_wall_seconds = 0.0;
-          workers_used = 1;
-          total_lines;
-          cmo_lines = 0;
-          warm_lines = 0;
-          cold_lines = 0;
-          cache = None;
-          obs = obs_summary ();
-        };
+      options;
+      store = (if instrument then None else cache);
+      remote;
+      naim_repo;
+      mem = Memstats.create ();
+      il_bytes = Hashtbl.create 16;
+      hits = 0;
+      misses = 0;
+      remote_hits = 0;
+      remote_misses = 0;
+      code_hits = 0;
+      code_misses = 0;
     }
-  end
-  else begin
-    (* Profile annotation. *)
-    (match (options.Options.pbo, profile) with
-    | true, Some db -> ignore (Correlate.annotate db modules)
-    | true, None -> Correlate.clear modules
-    | false, _ -> Correlate.clear modules);
-    (* The whole-program view as the frontends delivered it: valid
-       for every check until HLO starts adding and removing
-       functions. *)
-    let snapshot_env = memo_locked (fun () -> Ilcheck.env_of_modules modules) in
-    let mem = Memstats.create () in
-    let hlo_report = ref None in
-    let loader_stats = ref None in
-    let selection = ref None in
-    let cmo_lines = ref 0 in
-    let warm_lines = ref 0 in
-    let cold_lines = ref 0 in
-    let cache_hits = ref 0 in
-    let cache_misses = ref 0 in
-    let remote_hits = ref 0 in
-    let remote_misses = ref 0 in
-    (* WHOPR-style distribution: one worker pool per build — remote
-       [--workers] endpoints dialed on demand, local processes spawned
-       on demand.  A missing worker binary (with no endpoints)
-       degrades the whole build to in-process execution, never an
-       error — [dist] is a behaviour-preserving knob like [jobs]. *)
-    let dist_pool =
-      if options.Options.dist && options.Options.level = Options.O4 then
-        match
-          Distwork.create_pool ~workers:options.Options.workers
-            ?timeout_s:options.Options.dist_timeout ()
-        with
-        | pool -> Some pool
-        | exception Distwork.Unavailable msg ->
-          Log.warn (fun m -> m "dist: %s; building in-process" msg);
-          None
-      else None
-    in
-    let cmo_cached = ref [] in
-    let cmo_reoptimized = ref [] in
-    (* Post-HLO IL bytes the store path already holds, by module: the
-       codegen tier keys on them instead of re-encoding. *)
-    let il_bytes = Hashtbl.create 16 in
-    let hlo_t0 = Sys.time () in
-    let hlo_w0 = Unix.gettimeofday () in
-    (* Decide the CMO set and optimize it. *)
-    let processed_modules =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Distwork.close_pool dist_pool)
-      @@ fun () ->
-      Obs.with_span ~cat:"stage" "hlo" @@ fun () ->
-      match options.Options.level with
-      | Options.O1 -> modules
-      | Options.O2 ->
-        List.iter
-          (fun (m : Ilmod.t) ->
-            List.iter
-              (fun f ->
-                ignore
-                  (Phase.optimize_func ~mem ?check:(checker_of snapshot_env) f))
-              m.Ilmod.funcs)
-          modules;
-        modules
-      | Options.O4 ->
-        let cmo_set, outside =
-          match (options.Options.cmo_modules, options.Options.selectivity) with
-          | Some names, _ ->
-            (* Explicit set: the bug-isolation driver's reduction axis. *)
-            List.partition
-              (fun (m : Ilmod.t) -> List.mem m.Ilmod.mname names)
-              modules
-          | None, Some percent when options.Options.pbo ->
-            let sel = Selectivity.select ~percent modules in
-            selection := Some sel;
-            List.partition
-              (fun (m : Ilmod.t) ->
-                List.mem m.Ilmod.mname sel.Selectivity.cmo_modules)
-              modules
-          | None, (Some _ | None) -> (modules, [])
-        in
-        cmo_lines :=
-          List.fold_left (fun acc m -> acc + Ilmod.src_lines m) 0 cmo_set;
-        (* The paper, section 5: "The remaining modules bypass HLO
-           entirely, and are optimized at the default optimization
-           level using PBO."  Under the tiered mode (the section-8
-           multi-layered future work), modules the profile never saw
-           execute also skip the default-level scalar optimization. *)
-        let module_is_cold (m : Ilmod.t) =
-          List.for_all
-            (fun (f : Func.t) ->
-              List.for_all
-                (fun (b : Func.block) -> b.Func.freq = 0.0)
-                f.Func.blocks)
-            m.Ilmod.funcs
-        in
-        (* Decode a stored module artifact, keeping its bytes for the
-           codegen key; anything unexpected — corrupt bytes, a key
-           collision surfacing as the wrong module — degrades to a
-           miss. *)
-        let decode_artifact bytes mname =
-          match Ilcodec.decode_module bytes with
-          | m when m.Ilmod.mname = mname ->
-            Hashtbl.replace il_bytes mname bytes;
-            Some m
-          | _ -> None
-          | exception Cmo_support.Codec.Reader.Corrupt _ -> None
-        in
-        (* Publish an artifact to the remote cache; the remote's own
-           wrapper absorbs failures (a dead daemon must not fail the
-           build). *)
-        let remote_put key bytes =
-          match remote with
-          | Some r -> r.Distwork.remote_put key bytes
-          | None -> ()
-        in
-        (* On a local non-hit, consult the remote cache; a validated
-           remote artifact is adopted into the local store so the next
-           build hits locally.  All remote traffic happens on the
-           serial WPA path (the missing-scan and the outside sweep),
-           so its effect on local store bytes is independent of
-           [jobs]. *)
-        let remote_fetch store key mname =
-          match remote with
-          | None -> None
-          | Some r -> (
-            match r.Distwork.remote_get key with
-            | None ->
-              incr remote_misses;
-              Obs.tick "cache.module" "remote_misses" 1;
-              None
-            | Some bytes -> (
-              match decode_artifact bytes mname with
-              | Some m ->
-                Store.add store key bytes;
-                incr remote_hits;
-                Obs.tick "cache.module" "remote_hits" 1;
-                Some m
-              | None ->
-                incr remote_misses;
-                Obs.tick "cache.module" "remote_misses" 1;
-                None))
-        in
-        let fetch_module store key mname =
-          match Option.bind (Store.find store key) (fun bytes ->
-                    decode_artifact bytes mname) with
-          | Some m ->
-            incr cache_hits;
-            Obs.tick "cache.module" "hits" 1;
-            Some m
-          | None -> (
-            match remote_fetch store key mname with
-            | Some m -> Some m
-            | None ->
-              incr cache_misses;
-              Obs.tick "cache.module" "misses" 1;
-              None)
-        in
-        (* The +O2 path outside the CMO set is per-module work keyed
-           on the annotated IL alone. *)
-        let optimize_outside (m : Ilmod.t) =
-          if options.Options.tiered && module_is_cold m then begin
-            cold_lines := !cold_lines + Ilmod.src_lines m;
-            m
-          end
-          else begin
-            warm_lines := !warm_lines + Ilmod.src_lines m;
-            let optimize () =
-              List.iter
-                (fun f ->
-                  ignore
-                    (Phase.optimize_func ~mem ?check:(checker_of snapshot_env)
-                       f))
-                m.Ilmod.funcs
-            in
-            match cache with
-            | None ->
-              optimize ();
-              m
-            | Some store -> (
-              let key =
-                Fingerprint.of_strings [ "o2out1"; Ilcodec.encode_module m ]
-              in
-              match fetch_module store key m.Ilmod.mname with
-              | Some cached -> cached
-              | None ->
-                optimize ();
-                let bytes = Ilcodec.encode_module m in
-                Hashtbl.replace il_bytes m.Ilmod.mname bytes;
-                Store.add store key bytes;
-                remote_put key bytes;
-                m)
-          end
-        in
-        let outside = List.map optimize_outside outside in
-        (* What link-time CMO may reference beyond its own loader:
-           the non-CMO modules' functions and globals.  Snapshot once;
-           component workers share it read-only. *)
-        let outside_env = memo_locked (fun () -> Ilcheck.env_of_modules outside) in
-        if cmo_set = [] then outside
-        else begin
-          let called, stored = external_context outside in
-          let all_names =
-            List.map (fun (m : Ilmod.t) -> m.Ilmod.mname) cmo_set
-          in
-          let by_name = Hashtbl.create 16 in
-          List.iter
-            (fun (m : Ilmod.t) -> Hashtbl.replace by_name m.Ilmod.mname m)
-            cmo_set;
-          (* Snapshot function lists before any loader registration
-             empties the modules. *)
-          let mod_funcs = Hashtbl.create 16 in
-          List.iter
-            (fun (m : Ilmod.t) ->
-              Hashtbl.replace mod_funcs m.Ilmod.mname
-                (List.map
-                   (fun (f : Func.t) -> (f.Func.name, f.Func.linkage))
-                   m.Ilmod.funcs))
-            cmo_set;
-          let has_root names =
-            List.exists
-              (fun n ->
-                List.exists
-                  (fun (fname, linkage) ->
-                    fname = "main" || linkage = Func.Exported
-                    || Hashtbl.mem called fname)
-                  (Option.value ~default:[] (Hashtbl.find_opt mod_funcs n)))
-              names
-          in
-          let roots_exist = has_root all_names in
-          (* Per-component treatment (caching and parallelism alike)
-             is exact only when every global decision decomposes by
-             component: profile-guided cloning uses program-wide
-             counters and name allocation, and the bug-isolation
-             operation limits are program-wide budgets, so those
-             modes fall back to whole-set, sequential runs.  Likewise
-             the degenerate rootless program, where IPA's
-             keep-everything guard is not component-local. *)
-          let decomposable =
-            (not options.Options.pbo)
-            && options.Options.inline_limit = None
-            && options.Options.rewrite_limit = None
-            && roots_exist
-          in
-          (* Run link-time CMO over [subset] (the whole set, or one
-             component) — the exact code a [cmoc-worker] process runs
-             ({!Distwork.optimize_subset}), which is what keeps
-             distribution byte-invisible.  The external context is
-             always the non-CMO modules: components are closed under
-             calls and shared globals, so modules of other components
-             cannot observe this subset. *)
-          let hot_filter =
-            Option.map
-              (fun sel name -> Selectivity.is_hot_function sel name)
-              !selection
-          in
-          let run_cmo ?phase_cache ~mem subset =
-            Distwork.optimize_subset ?phase_cache ?naim_repo ?hot_filter
-              ~check_base:outside_env ~options
-              ~externally_called:(Hashtbl.mem called)
-              ~externally_stored:(Hashtbl.mem stored) ~mem subset
-          in
-          (* A partition job carries everything the serial WPA step
-             computed for this subset: the encoded modules, the
-             external-context slices, the hot-function selection and
-             the full option record. *)
-          let job_of subset =
+  in
+  let total_lines = src_lines modules in
+  let o, hlo_cpu, hlo_wall =
+    if instrument then
+      (* +I: instrument and build without optimization.  Probe
+         numbering is a global sequence, so this step stays serial. *)
+      timed (fun () ->
+          let instrumented, manifest = Probe.instrument modules in
+          { (unoptimized instrumented) with manifest = Some manifest })
+    else begin
+      annotate ?profile options modules;
+      timed (fun () ->
+          Obs.with_span ~cat:"stage" "hlo" (fun () -> optimize ctx modules))
+    end
+  in
+  Log.info (fun m ->
+      m "%s: hlo %.3fs, cmo %d/%d lines" (Options.to_string options) hlo_cpu
+        o.cmo_lines total_lines);
+  let profiled = options.Options.pbo && not instrument in
+  let (objects, llo), llo_cpu, llo_wall =
+    timed (fun () ->
+        codegen ctx
+          ~layout:(profiled && options.Options.level <> Options.O1)
+          o.modules)
+  in
+  let image, link_cpu, link_wall =
+    timed (fun () -> link ~cluster:profiled o.modules objects)
+  in
+  Log.info (fun m ->
+      m "%s: llo %.3fs, link %.3fs, %d instrs" (Options.to_string options)
+        llo_cpu link_cpu (Array.length image.Image.code));
+  let report =
+    {
+      (empty_report options) with
+      hlo = o.hlo;
+      loader_stats = o.loader_stats;
+      mem_peak = Memstats.peak ctx.mem;
+      mem_peak_hlo = Memstats.peak_hlo ctx.mem;
+      selection = o.selection;
+      llo;
+      hlo_seconds = hlo_cpu;
+      llo_seconds = llo_cpu;
+      link_seconds = link_cpu;
+      hlo_wall_seconds = hlo_wall;
+      llo_wall_seconds = llo_wall;
+      link_wall_seconds = link_wall;
+      workers_used = max 1 options.Options.jobs;
+      total_lines;
+      cmo_lines = o.cmo_lines;
+      warm_lines = o.warm_lines;
+      cold_lines = o.cold_lines;
+      cache =
+        Option.map
+          (fun _ : cache_usage ->
             {
-              Distwork.job_options = options;
-              job_modules = List.map Ilcodec.encode_module subset;
-              job_called =
-                Hashtbl.fold (fun k () acc -> k :: acc) called []
-                |> List.sort String.compare;
-              job_stored =
-                Hashtbl.fold (fun k () acc -> k :: acc) stored []
-                |> List.sort String.compare;
-              job_hot =
-                Option.map
-                  (fun sel -> sel.Selectivity.hot_functions)
-                  !selection;
-              job_phase_cache = false (* run_job decides *);
-            }
-          in
-          (* Optimize a subset on a pooled worker process; the result
-             additionally carries the worker's own encoding of each
-             optimized module, stored verbatim so the worker's encoder
-             defines the artifact bytes.  Raises [Worker_lost]. *)
-          let run_dist pool ?phase_cache ~mem subset =
-            let payload = Distwork.run_job pool ?phase_cache (job_of subset) in
-            let precoded =
-              List.map
-                (fun bytes -> (Ilcodec.decode_module bytes, bytes))
-                payload.Distwork.done_modules
-            in
-            Memstats.merge mem
-              (Distwork.memstats_of_summary payload.Distwork.done_mem);
-            ( List.map fst precoded,
-              payload.Distwork.done_report,
-              payload.Distwork.done_lstats,
-              List.map
-                (fun ((m : Ilmod.t), bytes) -> (m.Ilmod.mname, bytes))
-                precoded )
-          in
-          let record_hlo (report, lstats) =
-            hlo_report :=
-              Some
-                (match !hlo_report with
-                | None -> report
-                | Some r -> Hlo.merge_reports r report);
-            loader_stats :=
-              Some
-                (match !loader_stats with
-                | None -> lstats
-                | Some s -> merge_loader_stats s lstats)
-          in
-          (* Per-component execution: each component runs in its own
-             loader and accountant (and store transaction when
-             caching) on the worker pool.  Results, reports,
-             accountants and transactions merge in deterministic
-             component order after the join, so every artifact — and
-             every cache byte — is independent of [jobs].  Whenever a
-             store is attached this is the code path at every job
-             count, j=1 included: the transaction logs, not the
-             interleaving, decide what the store sees. *)
-          let phase_cache_of txn =
-            Option.map
-              (fun txn ->
-                { Hlo.pc_find = Store.txn_find txn; pc_add = Store.txn_add txn })
-              txn
-          in
-          (* Run [subset] on a pooled worker, its phase relay landing
-             in [txn]; returns the result and the transaction to
-             commit.  A lost worker leaves [txn] holding a partial op
-             log that must never commit: it is abandoned, and
-             [local] redoes the partition on a fresh transaction
-             (none when [txn] is none), whose log then matches the
-             oracle's exactly. *)
-          let dist_or_local dpool ~txn ~mem ~local subset =
-            match
-              run_dist dpool ?phase_cache:(phase_cache_of txn) ~mem subset
-            with
-            | result -> (result, txn)
-            | exception Distwork.Worker_lost ->
-              local
-                (Option.bind txn (fun _ -> Option.map Store.txn_begin cache))
-          in
-          let run_components ~txns comps_names =
-            let comps =
-              List.map
-                (fun comp ->
-                  let txn =
-                    if txns then Option.map Store.txn_begin cache else None
-                  in
-                  (List.map (Hashtbl.find by_name) comp, has_root comp, txn))
-                comps_names
-            in
-            let results =
-              Parwork.with_pool ~jobs (fun pool ->
-                  Parwork.map pool
-                    (fun (subset, rooted, txn) ->
-                      Obs.with_span ~cat:"component"
-                        (List.hd subset).Ilmod.mname
-                      @@ fun () ->
-                      if not rooted then
-                        (* A rootless component (while roots exist
-                           elsewhere): the whole-set run's IPA removes
-                           every one of its functions as unreachable,
-                           so the optimized form is just the
-                           empty-bodied modules — running HLO here
-                           would instead hit IPA's keep-everything
-                           guard. *)
-                        ( List.map
-                            (fun (m : Ilmod.t) -> { m with Ilmod.funcs = [] })
-                            subset,
-                          None,
-                          Memstats.create (),
-                          txn,
-                          [] )
-                      else begin
-                        let wmem = Memstats.create () in
-                        let local txn =
-                          let optimized, report, lstats =
-                            run_cmo
-                              ?phase_cache:(phase_cache_of txn)
-                              ~mem:wmem subset
-                          in
-                          ((optimized, report, lstats, []), txn)
-                        in
-                        let (optimized, report, lstats, precoded), txn =
-                          match dist_pool with
-                          | None -> local txn
-                          | Some dpool ->
-                            dist_or_local dpool ~txn ~mem:wmem ~local subset
-                        in
-                        (optimized, Some (report, lstats), wmem, txn, precoded)
-                      end)
-                    comps)
-            in
-            (* The transaction each component actually used travels in
-               its result (a lost worker's replacement transaction is
-               the one to commit, not the abandoned original). *)
-            List.iter
-              (fun (_, stats, wmem, txn, _) ->
-                Memstats.merge mem wmem;
-                Option.iter record_hlo stats;
-                Option.iter Store.txn_commit txn)
-              results;
-            ( List.concat_map (fun (optimized, _, _, _, _) -> optimized) results,
-              List.concat_map (fun (_, _, _, _, precoded) -> precoded) results
-            )
-          in
-          (* The whole-set (non-decomposable) run: program-wide
-             decisions — profile-guided cloning counters, the
-             bug-isolation operation budgets, IPA's rootless
-             keep-everything guard — must be made once over the entire
-             set, so distribution ships the whole set as a single job
-             to one worker.  With a store attached the phase relay
-             lands in a transaction, committed on success and
-             abandoned on loss, so a lost worker leaves no trace and
-             the local redo replays the oracle's op log against the
-             store directly. *)
-          let run_whole ~mem subset =
-            let local () =
-              let phase_cache = Option.map Hlo.store_phase_cache cache in
-              let optimized, report, lstats = run_cmo ?phase_cache ~mem subset in
-              (optimized, report, lstats, [])
-            in
-            match dist_pool with
-            | None -> local ()
-            | Some dpool ->
-              (* The redo runs straight against the store, as the
-                 oracle does. *)
-              let result, txn =
-                dist_or_local dpool
-                  ~txn:(Option.map Store.txn_begin cache)
-                  ~mem
-                  ~local:(fun _ -> (local (), None))
-                  subset
-              in
-              Option.iter Store.txn_commit txn;
-              result
-          in
-          let table_of optimized =
-            let opt_tbl = Hashtbl.create 16 in
-            List.iter
-              (fun (m' : Ilmod.t) -> Hashtbl.replace opt_tbl m'.Ilmod.mname m')
-              optimized;
-            opt_tbl
-          in
-          match cache with
-          | None ->
-            if decomposable && (jobs > 1 || Option.is_some dist_pool) then begin
-              (* Same partition as cache invalidation, used here as
-                 the unit of parallel/distributed link-time CMO (the
-                 WHOPR LTRANS analogy). *)
-              let part = Invalidate.compute cmo_set in
-              let optimized, _ =
-                run_components ~txns:false (Invalidate.components part)
-              in
-              let opt_tbl = table_of optimized in
-              List.map (fun name -> Hashtbl.find opt_tbl name) all_names
-              @ outside
-            end
-            else begin
-              let optimized, report, lstats, _ = run_whole ~mem cmo_set in
-              record_hlo (report, lstats);
-              optimized @ outside
-            end
-          | Some store ->
-            let part = Invalidate.compute cmo_set in
-            (* Snapshot digests before registration, like mod_funcs. *)
-            let il_fp = Hashtbl.create 16 in
-            List.iter
-              (fun (m : Ilmod.t) ->
-                Hashtbl.replace il_fp m.Ilmod.mname
-                  (Fingerprint.of_strings [ Ilcodec.encode_module m ]))
-              cmo_set;
-            let opt_fp = Options.cache_fingerprint options in
-            let sel_fp =
-              match !selection with
-              | None -> "nosel"
-              | Some sel ->
-                Fingerprint.of_strings
-                  (("sel" :: sel.Selectivity.cmo_modules)
-                  @ ("|" :: sel.Selectivity.hot_functions))
-            in
-            (* The key of a module: its component's (name, digest)
-               pairs plus the slice of the external context its
-               component can observe — external callers pin IPA
-               argument lattices and keep functions alive; external
-               stores block const-global folding. *)
-            let comp_parts_memo = Hashtbl.create 8 in
-            let component_parts comp =
-              let head = List.hd comp in
-              match Hashtbl.find_opt comp_parts_memo head with
-              | Some parts -> parts
-              | None ->
-                let ext_called =
-                  List.concat_map
-                    (fun n ->
-                      Option.value ~default:[] (Hashtbl.find_opt mod_funcs n)
-                      |> List.filter_map (fun (fname, _) ->
-                             if Hashtbl.mem called fname then Some fname
-                             else None))
-                    comp
-                  |> List.sort String.compare
-                in
-                let ext_stored =
-                  List.concat_map (Invalidate.global_refs part) comp
-                  |> List.sort_uniq String.compare
-                  |> List.filter (Hashtbl.mem stored)
-                in
-                let parts =
-                  List.concat_map
-                    (fun n ->
-                      [ n; Option.value ~default:"" (Hashtbl.find_opt il_fp n) ])
-                    comp
-                  @ ("|called" :: ext_called)
-                  @ ("|stored" :: ext_stored)
-                in
-                Hashtbl.replace comp_parts_memo head parts;
-                parts
-            in
-            let keys = Hashtbl.create 16 in
-            List.iter
-              (fun name ->
-                let comp =
-                  if decomposable then Invalidate.component part name
-                  else all_names
-                in
-                Hashtbl.replace keys name
-                  (Fingerprint.of_strings
-                     ("cmo1" :: opt_fp :: sel_fp :: name :: "|comp"
-                     :: component_parts comp)))
-              all_names;
-            let fetched = Hashtbl.create 16 in
-            let missing =
-              List.filter
-                (fun name ->
-                  match fetch_module store (Hashtbl.find keys name) name with
-                  | Some cached ->
-                    Hashtbl.replace fetched name cached;
-                    false
-                  | None -> true)
-                all_names
-            in
-            (* Persist (and publish) the fresh artifacts.  Modules a
-               worker process optimized are stored under the worker's
-               own encoding ([precoded]) — the bytes that crossed the
-               wire define the artifact, with no parent-side
-               re-encode in between. *)
-            let store_results ?(precoded = []) optimized =
-              let pre = Hashtbl.create 16 in
-              List.iter (fun (n, b) -> Hashtbl.replace pre n b) precoded;
-              List.iter
-                (fun (m' : Ilmod.t) ->
-                  match Hashtbl.find_opt keys m'.Ilmod.mname with
-                  | Some key ->
-                    let bytes =
-                      match Hashtbl.find_opt pre m'.Ilmod.mname with
-                      | Some b -> b
-                      | None -> Ilcodec.encode_module m'
-                    in
-                    Hashtbl.replace il_bytes m'.Ilmod.mname bytes;
-                    Store.add store key bytes;
-                    remote_put key bytes
-                  | None -> ())
-                optimized
-            in
-            if missing = [] then begin
-              (* Every artifact current: the link step skips HLO
-                 entirely. *)
-              cmo_cached := all_names;
-              List.map (Hashtbl.find fetched) all_names @ outside
-            end
-            else begin
-              let rerun_names =
-                if decomposable then Invalidate.closure part ~changed:missing
-                else all_names
-              in
-              cmo_reoptimized := rerun_names;
-              cmo_cached :=
-                List.filter (fun n -> not (List.mem n rerun_names)) all_names;
-              let optimized, precoded =
-                if decomposable then
-                  (* Exactly the components holding a stale module
-                     rerun; every fetch above already happened, so the
-                     transactions' snapshot view of the store is fixed
-                     before any worker starts. *)
-                  run_components ~txns:true
-                    (List.filter
-                       (fun comp ->
-                         List.exists (fun n -> List.mem n missing) comp)
-                       (Invalidate.components part))
-                else begin
-                  let optimized, report, lstats, precoded =
-                    run_whole ~mem cmo_set
-                  in
-                  record_hlo (report, lstats);
-                  (optimized, precoded)
-                end
-              in
-              store_results ~precoded optimized;
-              let opt_tbl = table_of optimized in
-              List.map
-                (fun name ->
-                  match Hashtbl.find_opt opt_tbl name with
-                  | Some m' -> m'
-                  | None -> Hashtbl.find fetched name)
-                all_names
-              @ outside
-            end
-        end
-    in
-    let hlo_t1 = Sys.time () in
-    let hlo_w1 = Unix.gettimeofday () in
-    Log.info (fun m ->
-        m "%s: hlo %.3fs, cmo %d/%d lines" (Options.to_string options)
-          (hlo_t1 -. hlo_t0) !cmo_lines total_lines);
-    (* Code generation: per-module and independent.  Each module
-       compiles with its own stats accumulator and accountant, merged
-       in module order, so objects, stats and modeled peaks are the
-       same at every [jobs].
-
-       With a store attached, the codegen tier serves modules whose
-       post-HLO IL it has seen before, keyed on those IL bytes, the
-       [layout] flag and [code_format].  A hit replays what LLO leaves
-       behind: block layout (and its check) on the IL the linker's
-       clustering reads, the stored stats, and the stored peak
-       charged and released.  Lookups and adds run serially in module
-       order and only misses go to the pool, so the store's bytes do
-       not depend on [jobs]. *)
-    let llo_stats = ref zero_llo_stats in
-    let layout = options.Options.pbo && options.Options.level <> Options.O1 in
-    (* Post-CMO view: clones present, IPA-removed routines gone — a
-       reference that dangles here would dangle at link time too. *)
-    let llo_check =
-      checker_of
-        (memo_locked (fun () -> Ilcheck.env_of_modules processed_modules))
-    in
-    let codegen m =
-      let wmem = Memstats.create () in
-      let acc = ref zero_llo_stats in
-      let obj = llo_module ?check:llo_check ~mem:(Some wmem) ~layout acc m in
-      (obj, !acc, wmem)
-    in
-    let replay (m : Ilmod.t) (obj, stats, max_charge) =
-      if layout then
-        List.iter
-          (fun f ->
-            ignore (Layout.run f);
-            Option.iter (fun check -> check ~phase:"layout" f) llo_check)
-          m.Ilmod.funcs;
-      let wmem = Memstats.create () in
-      Memstats.charge wmem Memstats.Llo max_charge;
-      Memstats.release wmem Memstats.Llo max_charge;
-      (obj, stats, wmem)
-    in
-    let code_hits = ref 0 in
-    let code_misses = ref 0 in
-    let lookup (m : Ilmod.t) =
-      match cache with
-      | None -> Code_miss None
-      | Some store -> (
-        let il =
-          match Hashtbl.find_opt il_bytes m.Ilmod.mname with
-          | Some bytes -> bytes
-          | None -> Ilcodec.encode_module m
-        in
-        let key = code_key ~layout il in
-        match
-          Option.bind (Store.find store key) (fun bytes ->
-              decode_code_entry bytes m.Ilmod.mname)
-        with
-        | Some entry ->
-          incr code_hits;
-          Obs.tick "cache.code" "hits" 1;
-          Code_hit entry
-        | None ->
-          incr code_misses;
-          Obs.tick "cache.code" "misses" 1;
-          Code_miss (Some (store, key)))
-    in
-    let objects =
-      Obs.with_span ~cat:"stage" "llo" @@ fun () ->
-      let looked = List.map (fun m -> (m, lookup m)) processed_modules in
-      let misses =
-        List.filter_map
-          (function m, Code_miss _ -> Some m | _, Code_hit _ -> None)
-          looked
-      in
-      let fresh =
-        ref
-          (if misses = [] then []
-           else
-             Parwork.with_pool ~jobs (fun pool ->
-                 Parwork.map pool codegen misses))
-      in
-      List.map
-        (fun (m, found) ->
-          let obj, stats, wmem =
-            match (found, !fresh) with
-            | Code_hit entry, _ -> replay m entry
-            | Code_miss dest, ((obj, stats, wmem) as r) :: rest ->
-              fresh := rest;
-              Option.iter
-                (fun (store, key) ->
-                  Store.add store key
-                    (encode_code_entry obj stats (Memstats.peak wmem)))
-                dest;
-              r
-            | Code_miss _, [] -> assert false
-          in
-          llo_stats := add_llo_stats !llo_stats stats;
-          Memstats.merge mem wmem;
-          obj)
-        looked
-    in
-    let llo_t1 = Sys.time () in
-    let llo_w1 = Unix.gettimeofday () in
-    (* Link, clustering routines when profiled. *)
-    let image =
-      Obs.with_span ~cat:"stage" "link" @@ fun () ->
-      let routine_order =
-        if options.Options.pbo then begin
-          let weights = cluster_weights processed_modules in
-          if weights = [] then None
-          else
-            Some
-              (Obs.with_span ~cat:"link" "cluster" (fun () ->
-                   Cluster.order
-                     ~names:(all_func_names processed_modules)
-                     ~weights))
-        end
-        else None
-      in
-      link_or_fail ?routine_order objects
-    in
-    let link_t1 = Sys.time () in
-    let link_w1 = Unix.gettimeofday () in
-    Log.info (fun m ->
-        m "%s: llo %.3fs, link %.3fs, %d instrs"
-          (Options.to_string options) (llo_t1 -. hlo_t1) (link_t1 -. llo_t1)
-          (Array.length image.Image.code));
-    {
-      image;
-      objects;
-      manifest = None;
-      report =
-        {
-          options;
-          hlo = !hlo_report;
-          loader_stats = !loader_stats;
-          mem_peak = Memstats.peak mem;
-          mem_peak_hlo = Memstats.peak_hlo mem;
-          selection = !selection;
-          llo = !llo_stats;
-          frontend_seconds = 0.0;
-          hlo_seconds = hlo_t1 -. hlo_t0;
-          llo_seconds = llo_t1 -. hlo_t1;
-          link_seconds = link_t1 -. llo_t1;
-          frontend_wall_seconds = 0.0;
-          hlo_wall_seconds = hlo_w1 -. hlo_w0;
-          llo_wall_seconds = llo_w1 -. hlo_w1;
-          link_wall_seconds = link_w1 -. llo_w1;
-          workers_used = jobs;
-          total_lines;
-          cmo_lines = !cmo_lines;
-          warm_lines = !warm_lines;
-          cold_lines = !cold_lines;
-          cache =
-            Option.map
-              (fun _ ->
-                {
-                  hits = !cache_hits;
-                  misses = !cache_misses;
-                  remote_hits = !remote_hits;
-                  remote_misses = !remote_misses;
-                  cmo_cached = !cmo_cached;
-                  cmo_reoptimized = !cmo_reoptimized;
-                  code_hits = !code_hits;
-                  code_misses = !code_misses;
-                })
-              cache;
-          obs = obs_summary ();
-        };
+              hits = ctx.hits;
+              misses = ctx.misses;
+              remote_hits = ctx.remote_hits;
+              remote_misses = ctx.remote_misses;
+              cmo_cached = o.cmo_cached;
+              cmo_reoptimized = o.cmo_reoptimized;
+              code_hits = ctx.code_hits;
+              code_misses = ctx.code_misses;
+            })
+          ctx.store;
     }
-  end
+  in
+  { image; objects; manifest = o.manifest; report }
 
 let compile_modules ?profile ?cache ?naim_repo ?remote options modules =
   try compile_modules_inner ?profile ?cache ?naim_repo ?remote options modules
@@ -1251,7 +1113,7 @@ let train ?(inputs = [ [||] ]) sources =
     inputs;
   db
 
-let pp_report ppf r =
+let pp_report ppf (r : report) =
   Format.fprintf ppf "@[<v>%s" (Options.to_string r.options);
   Format.fprintf ppf "@,lines: %d total, %d in CMO set%s" r.total_lines
     r.cmo_lines
@@ -1299,7 +1161,7 @@ let pp_report ppf r =
    cpu/wall aggregates, so downstream consumers (the bench tables,
    scripts diffing two builds) stop re-deriving arithmetic from the
    pretty-printer. *)
-let report_to_json r =
+let report_to_json (r : report) =
   let num_i n = Json.Num (float_of_int n) in
   let opt f = function Some v -> f v | None -> Json.Null in
   Json.Obj
@@ -1377,7 +1239,7 @@ let report_to_json r =
           r.loader_stats );
       ( "cache",
         opt
-          (fun c ->
+          (fun (c : cache_usage) ->
             Json.Obj
               [
                 ("hits", num_i c.hits);

@@ -107,6 +107,15 @@ val par_speedup : report -> float
     1.0 when either is unmeasured.  On a single hardware thread this
     sits at or slightly below 1 regardless of [workers_used]. *)
 
+val empty_report : Options.t -> report
+(** The report constructor: zero counts, times and peaks, one worker,
+    no optional section but the trace summary as of the call. *)
+
+val link_objects :
+  ?routine_order:string list -> Cmo_link.Objfile.t list -> Cmo_link.Image.t
+(** {!Cmo_link.Linker.link}, with any link errors rendered into
+    {!Compile_error}. *)
+
 val with_tracing : Options.t -> (unit -> 'a) -> 'a
 (** Run [f] under the trace sink when [options.trace] is set: start
     recording, run, write the Chrome-trace file, stop.  No-op without
@@ -146,20 +155,30 @@ val compile_modules :
 (** Takes ownership of [modules]: profile annotation and optimization
     mutate them.
 
-    With [Options.dist], link-time CMO partitions run in isolated
-    [cmoc-worker] processes ({!Distwork}) instead of worker domains;
-    any worker loss, wire fault or missing worker binary degrades the
-    affected partition (or the whole build) to in-process execution.
-    Distributed builds are byte-identical to in-process ones — the
-    distribution determinism matrix enforces it.
+    Every build runs the same stages: annotate, select (the CMO set),
+    outside (+O2 outside the set), plan, ltrans, codegen, link; +I
+    instruments and goes straight to codegen and link.  [plan], the
+    serial WPA step, splits the set into units: its invalidation
+    components ({!Cmo_cache.Invalidate}) when every global decision
+    decomposes, else the whole set.  [ltrans] runs each stale unit
+    with its own NAIM loader, accountant and store transaction and
+    merges them in unit order.  So [jobs], [dist] and [cache] never
+    change which units run or how they merge: the image, objects, LLO
+    stats and modeled peaks are bit-identical across all of them.
+
+    With [Options.dist], a unit runs as a partition job in an
+    isolated [cmoc-worker] process ({!Distwork}) instead of on a
+    worker domain; any worker loss, wire fault or missing worker
+    binary degrades that unit (or the whole build) to in-process
+    execution on a fresh transaction.
 
     With [remote] (requires [cache]), module-artifact lookups that
     miss the local store consult the remote cache, adopting validated
     artifacts locally, and fresh artifacts are published back — the
     cross-checkout sharing path through [cmocd].  The remote must
     degrade internally (both functions return miss / drop on any
-    fault); remote traffic happens only on the serial WPA path, so
-    local store bytes stay independent of [jobs].
+    fault); remote traffic happens only on the serial path, so local
+    store bytes stay independent of [jobs].
 
     With [naim_repo], the O4 loaders offload to the given repository
     instead of a private in-memory one — the build server passes its
@@ -170,19 +189,15 @@ val compile_modules :
 
     With [cache], the O4 link step becomes incremental: post-CMO
     per-module IL is stored content-addressed, keyed on the module's
-    invalidation-closure component (see {!Cmo_cache.Invalidate}), the
-    canonical option fingerprint, and the external context visible to
-    the component.  When every artifact is current the HLO phase runs
-    not at all (the report's [hlo] is [None]); otherwise only the
-    invalidation closure of the changed modules is re-optimized —
-    falling back to the whole set under profile-guided cloning or the
-    bug-isolation limits, whose budgets are program-wide.  At every
-    level, [cache] also enables the codegen tier: a module's code
-    object, LLO stats and peak LLO charge are stored under its
-    post-HLO IL bytes and the layout flag, so a module whose IL is
-    unchanged skips LLO (block layout still runs on its IL under +P).
-    Cached or not, the resulting image, objects, LLO stats and
-    modeled peaks are bit-identical. *)
+    unit, the canonical option fingerprint, and the external context
+    visible to the unit.  Only units holding a module whose artifact
+    missed are stale; when none is, HLO runs not at all (the
+    report's [hlo] is [None]).  Module artifacts are added only after
+    every unit's transaction has committed.  At every level, [cache]
+    also enables the codegen tier: a module's code object, LLO stats
+    and peak LLO charge are stored under its post-HLO IL bytes and
+    the layout flag, so a module whose IL is unchanged skips LLO
+    (block layout still runs on its IL under +P). *)
 
 val code_key : layout:bool -> string -> string
 (** The codegen tier's store key for a module whose post-HLO IL

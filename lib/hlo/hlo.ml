@@ -7,16 +7,15 @@ module W = Cmo_support.Codec.Writer
 module R = Cmo_support.Codec.Reader
 
 (* The phase tier is accessed through closures rather than a store
-   handle: the sequential pipeline passes the store's own find/add,
-   parallel component workers pass their transaction's logged
-   operations. *)
+   handle: a unit running in process passes its transaction's logged
+   operations, a worker process relays them over the wire. *)
 type phase_cache = {
   pc_find : string -> string option;
   pc_add : string -> string -> unit;
 }
 
-let store_phase_cache store =
-  { pc_find = Store.find store; pc_add = Store.add store }
+let txn_phase_cache txn =
+  { pc_find = Store.txn_find txn; pc_add = Store.txn_add txn }
 
 type options = {
   clone : Clone.config option;

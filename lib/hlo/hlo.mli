@@ -20,13 +20,13 @@ type phase_cache = {
   pc_find : string -> string option;
   pc_add : string -> string -> unit;
 }
-(** Access to the per-routine phase tier of the artifact store.  The
-    sequential pipeline passes {!store_phase_cache}; parallel
-    component workers pass their {!Cmo_cache.Store.txn}'s logged
-    find/add so store bytes stay independent of the worker count. *)
+(** Access to the per-routine phase tier of the artifact store.  Each
+    link-time CMO unit passes its {!Cmo_cache.Store.txn}'s logged
+    find/add ({!txn_phase_cache}) so store bytes stay independent of
+    the worker count; a worker process relays the same operations
+    over the wire. *)
 
-val store_phase_cache : Cmo_cache.Store.t -> phase_cache
-(** Direct store access (the sequential whole-set path). *)
+val txn_phase_cache : Cmo_cache.Store.txn -> phase_cache
 
 type options = {
   clone : Clone.config option;

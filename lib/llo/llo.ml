@@ -38,6 +38,24 @@ let compile_internal ?mem ?check ~layout ~schedule ~module_name f =
   Option.iter (fun (m, bytes) -> Memstats.release m Memstats.Llo bytes) charged;
   (code, result.Regalloc.spilled_vregs, peeps, layout_changed)
 
+let zero_stats =
+  {
+    routines = 0;
+    mach_instrs = 0;
+    spilled_vregs = 0;
+    peephole_rewrites = 0;
+    layout_changes = 0;
+  }
+
+let add_stats a b =
+  {
+    routines = a.routines + b.routines;
+    mach_instrs = a.mach_instrs + b.mach_instrs;
+    spilled_vregs = a.spilled_vregs + b.spilled_vregs;
+    peephole_rewrites = a.peephole_rewrites + b.peephole_rewrites;
+    layout_changes = a.layout_changes + b.layout_changes;
+  }
+
 let compile_func ?mem ?check ?(layout = false) ?(schedule = true) ~module_name f =
   let code, _, _, _ =
     compile_internal ?mem ?check ~layout ~schedule ~module_name f
@@ -49,16 +67,7 @@ let compile_module ?mem ?check ?(layout = false) ?(schedule = true)
   (* Per-module codegen span; instruction count attached at close. *)
   let traced = Cmo_obs.Obs.enabled () in
   if traced then Cmo_obs.Obs.span_begin ~cat:"llo" m.Cmo_il.Ilmod.mname;
-  let stats =
-    ref
-      {
-        routines = 0;
-        mach_instrs = 0;
-        spilled_vregs = 0;
-        peephole_rewrites = 0;
-        layout_changes = 0;
-      }
-  in
+  let stats = ref zero_stats in
   let codes =
     List.map
       (fun f ->

@@ -83,6 +83,42 @@ let prog_with_rootless : Pipeline.source list =
       };
     ]
 
+(* The CMO set reads a global that only a module outside the set
+   stores, so folding it to its initializer would be wrong: the unit's
+   external store context is what forbids that. *)
+let prog_outside_store : Pipeline.source list =
+  [
+    {
+      Pipeline.name = "os_main";
+      text =
+        {|
+        global limit = 10;
+        func main() {
+          var s = 0;
+          var i = 0;
+          setup();
+          while (i < limit) { s = s + step(i); i = i + 1; }
+          print(s);
+          return s & 255;
+        }
+        |};
+    };
+    {
+      Pipeline.name = "os_step";
+      text = {|
+        func step(x) { return x * 3 + 1; }
+        |};
+    };
+    {
+      Pipeline.name = "os_cfg";
+      text =
+        {|
+        extern global limit;
+        func setup() { limit = 20; return 0; }
+        |};
+    };
+  ]
+
 (* One deep component: a cross-module inline chain whose result feeds
    a constant-foldable global — the shapes CMO actually rewrites. *)
 let prog_chain : Pipeline.source list =
@@ -177,6 +213,14 @@ let test_parwork_submit_await () =
           Alcotest.(check int) "future value" (i * 2) (Parwork.await f))
         (List.rev (List.mapi (fun i f -> (i, f)) futures));
       Alcotest.(check int) "worker count" 3 (Parwork.jobs pool))
+
+let test_parwork_single_item_inline () =
+  (* One item needs one domain: the map runs on the caller's. *)
+  let self = (Domain.self () :> int) in
+  Alcotest.(check (list int)) "ran on the calling domain" [ self ]
+    (Parwork.map_jobs ~jobs:4 (fun () -> (Domain.self () :> int)) [ () ]);
+  Alcotest.(check (list int)) "empty map" []
+    (Parwork.map_jobs ~jobs:4 (fun () -> 0) [])
 
 (* ---------- the sharded workload really decomposes ---------- *)
 
@@ -522,23 +566,123 @@ let test_memstats_merge_deterministic () =
     (run ()) (run ())
 
 let test_mem_peak_hlo_job_invariant () =
-  (* Cached decomposable builds take the component path at every j,
-     so the merged HLO peak is a build artifact like any other:
-     independent of the worker count. *)
+  (* Every build runs the same units and merges their accountants in
+     unit order, so both modeled peaks are build artifacts like any
+     other: independent of the worker count and of the store. *)
+  let peaks (b : Pipeline.build) =
+    (b.Pipeline.report.Pipeline.mem_peak, b.Pipeline.report.Pipeline.mem_peak_hlo)
+  in
   with_dir (fun d1 ->
       with_dir (fun d4 ->
-          let peak dir jobs =
-            (with_closed_store dir (fun store ->
-                 build ~cache:store Options.o4 jobs prog_two_components))
-              .Pipeline.report.Pipeline.mem_peak_hlo
+          let cached dir jobs =
+            peaks
+              (with_closed_store dir (fun store ->
+                   build ~cache:store Options.o4 jobs prog_two_components))
           in
-          Alcotest.(check int) "mem_peak_hlo j4 = j1" (peak d1 1) (peak d4 4)))
+          let reference = cached d1 1 in
+          Alcotest.(check (pair int int)) "peaks j4 = j1" reference (cached d4 4);
+          Alcotest.(check (pair int int)) "peaks without a store = with one"
+            reference
+            (peaks (build Options.o4 1 prog_two_components))))
+
+(* ---------- every unit run equals the whole-set reference ---------- *)
+
+(* What the outside modules call and store into the CMO set. *)
+let external_context outside =
+  let called = Hashtbl.create 64 and stored = Hashtbl.create 64 in
+  List.iter
+    (fun (m : Ilmod.t) ->
+      List.iter
+        (fun (f : Cmo_il.Func.t) ->
+          List.iter
+            (fun (b : Cmo_il.Func.block) ->
+              List.iter
+                (function
+                  | Cmo_il.Instr.Call { callee; _ } -> Hashtbl.replace called callee ()
+                  | Cmo_il.Instr.Store ({ Cmo_il.Instr.base; _ }, _) ->
+                    Hashtbl.replace stored base ()
+                  | _ -> ())
+                b.Cmo_il.Func.instrs)
+            f.Cmo_il.Func.blocks)
+        m.Ilmod.funcs)
+    outside;
+  (called, stored)
+
+(* The post-HLO IL of every CMO-set module, from one link-time CMO run
+   over the whole set — the oracle the pipeline's units must
+   reproduce byte for byte. *)
+let whole_set_il ?cmo sources =
+  let modules = Pipeline.frontend sources in
+  Cmo_profile.Correlate.clear modules;
+  let cmo_set, outside =
+    match cmo with
+    | None -> (modules, [])
+    | Some names ->
+      List.partition (fun (m : Ilmod.t) -> List.mem m.Ilmod.mname names) modules
+  in
+  List.iter
+    (fun (m : Ilmod.t) ->
+      List.iter (fun f -> ignore (Cmo_hlo.Phase.optimize_func f)) m.Ilmod.funcs)
+    outside;
+  let called, stored = external_context outside in
+  let optimized, _, _ =
+    Cmo_driver.Distwork.optimize_subset ~options:Options.o4
+      ~externally_called:(Hashtbl.mem called) ~externally_stored:(Hashtbl.mem stored)
+      ~mem:(Memstats.create ()) cmo_set
+  in
+  List.map (fun (m : Ilmod.t) -> (m.Ilmod.mname, Cmo_il.Ilcodec.encode_module m)) optimized
+
+let test_units_match_whole_set () =
+  let suite name =
+    ( name,
+      List.map
+        (fun (name, text) -> { Pipeline.name; text })
+        (Genprog.generate (Suite.find name)),
+      None )
+  in
+  let li3 = Genprog.sharded (Suite.find "li") ~shards:3 in
+  let programs =
+    [
+      ("two-components", prog_two_components, None);
+      ("rootless-member", prog_with_rootless, None);
+      ("outside-store", prog_outside_store, Some [ "os_main"; "os_step" ]);
+      suite "m88ksim";
+      suite "mcad2";
+      suite "mcad3";
+      ( "li x3 sharded",
+        List.map (fun (name, text) -> { Pipeline.name; text }) li3,
+        Some
+          (List.filter_map
+             (fun (n, _) -> if String.equal n "main_mod" then None else Some n)
+             li3) );
+    ]
+  in
+  List.iter
+    (fun (name, sources, cmo) ->
+      let reference = whole_set_il ?cmo sources in
+      (* The codegen tier keys every module's code on its post-HLO IL
+         bytes, so a cold store holds an entry under the reference
+         bytes' key exactly when the pipeline produced those bytes. *)
+      with_dir (fun dir ->
+          with_closed_store dir (fun store ->
+              ignore
+                (build ~cache:store { Options.o4 with Options.cmo_modules = cmo } 1
+                   sources);
+              List.iter
+                (fun (mname, il) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %s post-HLO IL = whole-set run" name mname)
+                    true
+                    (Option.is_some (Store.peek store (Pipeline.code_key ~layout:false il))))
+                reference)))
+    programs
 
 let suite =
   [
     ("parwork map order", `Quick, test_parwork_map_order);
     ("parwork error order", `Quick, test_parwork_first_error_by_input_order);
     ("parwork submit/await", `Quick, test_parwork_submit_await);
+    ("parwork single item inline", `Quick, test_parwork_single_item_inline);
     ("sharded workload components", `Quick, test_sharded_workload_components);
     ("determinism +O2", `Quick, test_determinism_o2);
     ("determinism +O4", `Slow, test_determinism_o4);
@@ -551,4 +695,5 @@ let suite =
     ("memstats merge exact", `Quick, test_memstats_merge_single_worker_exact);
     ("memstats merge deterministic", `Quick, test_memstats_merge_deterministic);
     ("mem_peak_hlo job-invariant", `Quick, test_mem_peak_hlo_job_invariant);
+    ("units match the whole-set run", `Slow, test_units_match_whole_set);
   ]

@@ -174,12 +174,17 @@ let test_codec_truncation_detected () =
   Codec.Writer.string w "hello";
   let bytes = Codec.Writer.contents w in
   let truncated = String.sub bytes 0 (String.length bytes - 2) in
-  let r = Codec.Reader.of_string truncated in
-  Alcotest.(check bool) "raises Corrupt" true
-    (try
-       ignore (Codec.Reader.string r);
-       false
-     with Codec.Reader.Corrupt _ -> true)
+  (* A nine-byte length prefix that overflows into a negative int. *)
+  let negative = String.make 8 '\x80' ^ "\x40" ^ "abc" in
+  List.iter
+    (fun input ->
+      let r = Codec.Reader.of_string input in
+      Alcotest.(check bool) "raises Corrupt" true
+        (try
+           ignore (Codec.Reader.string r);
+           false
+         with Codec.Reader.Corrupt _ -> true))
+    [ truncated; negative ]
 
 let test_codec_bad_bool () =
   let r = Codec.Reader.of_string "\x07" in
